@@ -17,12 +17,14 @@ from fractions import Fraction
 from .errors import UnsupportedPencilError
 from .exactpoly import BiPoly, UniPoly
 from .experiments import (
+    _nonzero,
     classify,
     run_coprime_sweep,
     run_d2_grid,
     run_degree8_scan,
     sample_connected,
     sample_d3_stratum,
+    sample_generic,
     sample_palindromic,
     sample_scalar,
 )
@@ -162,13 +164,7 @@ def criterion_7(samples: int = 100) -> Result:
             a = [rng.randint(-9, 9) for _ in range(n)]
             if len(set(a)) == n:
                 break
-        b = []
-        for _ in range(n - 1):
-            v = 0
-            while v == 0:
-                v = rng.randint(-9, 9)
-            b.append(v)
-        p = pencil(a, b)
+        p = pencil(a, [_nonzero(rng, 9) for _ in range(n - 1)])
         rep = monodromy_group(p)
         if rep.group_order == math.factorial(n) and len(rep.orbits) == 1:
             continue
@@ -200,16 +196,10 @@ def criterion_8(samples: int = 50) -> Result:
             p = sample_d3_stratum(rng, 9)
             exact = decide(p).factor_degrees
         elif family == 1:
-            n = rng.randint(4, 5)
-            a = rng.sample(range(-9, 10), n)
-            b = [0] * (n - 1)
-            for j in range(n - 1):
-                v = 0
-                while v == 0:
-                    v = rng.randint(-9, 9)
-                b[j] = v
-            b[rng.randrange(n - 1)] = 0
-            p = pencil(a, b)
+            q = sample_generic(rng, rng.randint(4, 5), 9)
+            b = list(q.b)
+            b[rng.randrange(q.n - 1)] = 0
+            p = pencil(q.a, b)
             exact = decide(p).factor_degrees
         else:
             # a scalar accident splits into lines over the complex

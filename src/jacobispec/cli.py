@@ -124,7 +124,7 @@ def _certificate_payload(report: MechanismReport) -> dict:
         "certificates": [
             {
                 "kind": c.kind,
-                "block": None if c.block is None else list(c.block),
+                "block": list(c.block),
                 "target": c.target.to_lists(),
                 "factors": [f.to_lists() for f in c.factors],
                 "data": _jsonable(c.data),

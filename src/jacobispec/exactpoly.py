@@ -5,6 +5,9 @@ lifting decision) runs on the two classes defined here, so the conventions
 are worth stating once:
 
 * Scalars are ``fractions.Fraction``.  No floats enter this module.
+  The private coefficient-list kernel below the parsers is the one
+  implementation of list arithmetic in the package; it also runs on
+  ``int`` lists, for the fraction-free resultant.
 * ``UniPoly`` is a dense univariate polynomial, coefficients ascending.
   The zero polynomial has an empty coefficient tuple and degree -1.
 * ``BiPoly`` is a polynomial in ``lambda`` and one outer variable, stored
@@ -64,6 +67,95 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to Fraction")
+
+
+# ---------------------------------------------------------------------------
+# coefficient-list kernel
+#
+# Polynomials as plain lists of coefficients, ascending, with no trailing
+# zeros.  The coefficients are int in the fraction-free resultant,
+# Fraction in UniPoly and the Hensel lift, and UniPoly in BiPoly addition
+# and exact division in lambda.  Products and quotients start from the
+# zero of their inputs' type, so int lists stay int.
+
+
+def _trim(u: list) -> list:
+    while u and not u[-1]:
+        u.pop()
+    return u
+
+
+def _add(u: Sequence, v: Sequence) -> list:
+    if len(u) < len(v):
+        u, v = v, u
+    out = list(u)
+    for i, y in enumerate(v):
+        out[i] += y
+    return _trim(out)
+
+
+def _sub(u: Sequence, v: Sequence) -> list:
+    out = list(u) + [-y for y in v[len(u) :]]
+    for i, y in enumerate(v[: len(u)]):
+        out[i] -= y
+    return _trim(out)
+
+
+def _mul(u: Sequence, v: Sequence) -> list:
+    if not u or not v:
+        return []
+    out = [type(u[-1])()] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                out[i + j] += x * y
+    return out
+
+
+def _divmod(u: Sequence, v: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of u by v.  The leading coefficient of v
+    must be a unit: any nonzero value for Fraction lists, 1 for int lists."""
+    rem = list(u)
+    top = len(v) - 1
+    dq = len(rem) - top - 1
+    if dq < 0:
+        return [], _trim(rem)
+    lead = v[-1]
+    monic = lead == 1
+    quot = [type(lead)()] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + top]
+        if c:
+            if not monic:
+                c = c / lead
+            quot[k] = c
+            for j, y in enumerate(v):
+                rem[k + j] -= c * y
+    del rem[top:]
+    return _trim(quot), _trim(rem)
+
+
+def _divexact(u: Sequence, v: Sequence) -> list:
+    """Exact quotient u / v over a Euclidean coefficient ring: int lists
+    (Z[x]) or lists of UniPoly (polynomials in lambda over Q[outer]).
+    Raises ExactDivisionError when v does not divide u."""
+    if not u:
+        return []
+    rem = list(u)
+    top = len(v) - 1
+    lead = v[-1]
+    quot = [0] * (len(rem) - top)
+    for k in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[k + top], lead)
+        if r:
+            raise ExactDivisionError("division step leaves a remainder")
+        quot[k] = c
+        if c:
+            for j, y in enumerate(v):
+                rem[k + j] -= c * y
+    if any(rem):
+        raise ExactDivisionError("nonzero remainder in exact division")
+    return _trim(quot)
 
 
 class UniPoly:
@@ -143,13 +235,7 @@ class UniPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        return UniPoly(_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -157,13 +243,13 @@ class UniPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return UniPoly(_sub(self.coeffs, other.coeffs))
 
     def __rsub__(self, other) -> "UniPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return UniPoly(_sub(other.coeffs, self.coeffs))
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
@@ -171,15 +257,7 @@ class UniPoly:
             return UniPoly(tuple(c * q for c in self.coeffs))
         if not isinstance(other, UniPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return UniPoly(out)
+        return UniPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -200,18 +278,7 @@ class UniPoly:
             other = UniPoly.constant(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] -= c * oc
+        quot, rem = _divmod(self.coeffs, other.coeffs)
         return UniPoly(quot), UniPoly(rem)
 
     def __floordiv__(self, other) -> "UniPoly":
@@ -415,13 +482,7 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._require_same_tag(other)
-        a, b = self.layers, other.layers
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, l in enumerate(b):
-            out[i] = out[i] + l
-        return BiPoly(out, self.tag)
+        return BiPoly(_add(self.layers, other.layers), self.tag)
 
     __radd__ = __add__
 
@@ -589,28 +650,21 @@ def divide_exact_lambda(p: BiPoly, d: BiPoly) -> BiPoly:
     p._require_same_tag(d)
     if d.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero:
-        return BiPoly.zero(p.tag)
-    rem = p.lambda_major()
-    div = d.lambda_major()
-    dq = len(rem) - len(div)
-    if dq < 0:
-        raise ExactDivisionError("divisor has larger lambda-degree")
-    lead = div[-1]
-    quot = [UniPoly.zero()] * (dq + 1)
-    for k in range(dq, -1, -1):
-        top = rem[k + len(div) - 1]
-        if top.is_zero:
-            continue
-        q, r = divmod(top, lead)
-        if not r.is_zero:
-            raise ExactDivisionError("division step leaves a remainder")
-        quot[k] = q
-        for j, dc in enumerate(div):
-            rem[k + j] = rem[k + j] - q * dc
-    if any(not c.is_zero for c in rem):
-        raise ExactDivisionError("nonzero remainder in lambda division")
+    quot = _divexact(p.lambda_major(), d.lambda_major())
     return BiPoly.from_lambda_major(quot, p.tag)
+
+
+_IntPoly = list[int]
+
+
+def _integer_cols(cols: Sequence[UniPoly]) -> tuple[list[_IntPoly], int]:
+    """The columns times the lcm of all their denominators, as int lists,
+    and that lcm."""
+    den = 1
+    for c in cols:
+        d = c.denominator_lcm()
+        den = den * d // math.gcd(den, d)
+    return [[int(x * den) for x in c.coeffs] for c in cols], den
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +681,7 @@ def _content(cols: Sequence[UniPoly]) -> UniPoly:
 
 
 def _primitive(cols: list[UniPoly]) -> list[UniPoly]:
-    cols = [c for c in cols]
-    while cols and cols[-1].is_zero:
-        cols.pop()
+    cols = _trim(list(cols))
     if not cols:
         return cols
     g = _content(cols)
@@ -648,28 +700,18 @@ def _pseudo_rem(f: list[UniPoly], g: list[UniPoly]) -> list[UniPoly]:
         new = [lead * c for c in rem[:-1]]
         for j in range(len(g) - 1):
             new[shift + j] = new[shift + j] - top * g[j]
-        while new and new[-1].is_zero:
-            new.pop()
-        rem = new
-        if not rem:
-            break
+        rem = _trim(new)
     return rem
 
 
 def _canonical_cols(cols: list[UniPoly], tag: str) -> BiPoly:
     # Integer-primitive normalization: clear denominators, divide by the
     # integer content, make the top coefficient positive.
-    den = 1
-    for c in cols:
-        d = c.denominator_lcm()
-        den = den * d // math.gcd(den, d)
-    ints: list[list[int]] = []
+    ints, _ = _integer_cols(cols)
     num_gcd = 0
-    for c in cols:
-        row = [int(x * den) for x in c.coeffs]
+    for row in ints:
         for v in row:
             num_gcd = math.gcd(num_gcd, v)
-        ints.append(row)
     if num_gcd == 0:
         return BiPoly.zero(tag)
     lead_sign = 1
@@ -713,55 +755,6 @@ def gcd_in_lambda(p: BiPoly, q: BiPoly) -> BiPoly:
 # ---------------------------------------------------------------------------
 # resultant and discriminant in lambda, fraction-free
 
-_IntPoly = list[int]
-
-
-def _zp_trim(u: _IntPoly) -> _IntPoly:
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _zp_mul(u: _IntPoly, v: _IntPoly) -> _IntPoly:
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] += a * b
-    return out
-
-
-def _zp_sub(u: _IntPoly, v: _IntPoly) -> _IntPoly:
-    out = list(u) + [0] * (len(v) - len(u))
-    for i, b in enumerate(v):
-        out[i] -= b
-    return _zp_trim(out)
-
-
-def _zp_divexact(u: _IntPoly, v: _IntPoly) -> _IntPoly:
-    # Exact division in Z[x]; the Bareiss identity guarantees exactness.
-    if not u:
-        return []
-    rem = list(u)
-    lead = v[-1]
-    dq = len(rem) - len(v)
-    quot = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + len(v) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("inexact division in fraction-free elimination")
-        c //= lead
-        quot[k] = c
-        if c:
-            for j, vc in enumerate(v):
-                rem[k + j] -= c * vc
-    if any(rem):
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return _zp_trim(quot)
-
-
 def _bareiss_det(mat: list[list[_IntPoly]]) -> _IntPoly:
     """Determinant of a matrix over Z[x] by Bareiss one-step elimination."""
     n = len(mat)
@@ -780,25 +773,15 @@ def _bareiss_det(mat: list[list[_IntPoly]]) -> _IntPoly:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = _zp_sub(
-                    _zp_mul(mat[i][j], mat[k][k]),
-                    _zp_mul(mat[i][k], mat[k][j]),
+                num = _sub(
+                    _mul(mat[i][j], mat[k][k]),
+                    _mul(mat[i][k], mat[k][j]),
                 )
-                mat[i][j] = _zp_divexact(num, prev) if num else []
+                mat[i][j] = _divexact(num, prev) if num else []
             mat[i][k] = []
         prev = mat[k][k]
     det = mat[n - 1][n - 1]
     return [-c for c in det] if sign < 0 else det
-
-
-def _integer_lambda_major(p: BiPoly) -> tuple[list[_IntPoly], int]:
-    cols = p.lambda_major()
-    den = 1
-    for c in cols:
-        d = c.denominator_lcm()
-        den = den * d // math.gcd(den, d)
-    ints = [[int(x * den) for x in c.coeffs] for c in cols]
-    return ints, den
 
 
 def resultant_in_lambda(p: BiPoly, q: BiPoly) -> UniPoly:
@@ -807,8 +790,8 @@ def resultant_in_lambda(p: BiPoly, q: BiPoly) -> UniPoly:
     p._require_same_tag(q)
     if p.is_zero or q.is_zero:
         raise ValueError("resultant with a zero polynomial")
-    cp, den_p = _integer_lambda_major(p)
-    cq, den_q = _integer_lambda_major(q)
+    cp, den_p = _integer_cols(p.lambda_major())
+    cq, den_q = _integer_cols(q.lambda_major())
     m = len(cp) - 1
     r = len(cq) - 1
     if m == 0 and r == 0:

@@ -57,10 +57,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import UnsupportedPencilError
-from .exactpoly import BiPoly, T_FORM, UniPoly, to_w_form
+from .exactpoly import BiPoly, T_FORM, UniPoly, _add, _divmod, _mul, _sub, to_w_form
 from .pencil import JacobiPencil, continuant
 
 IRREDUCIBLE = "Irreducible"
@@ -188,55 +188,11 @@ class Decision:
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient-list arithmetic for the inner loop
+# the lift on coefficient lists
 #
-# Polynomials in lambda as plain lists of Fractions, ascending.  The hot
-# path of the subset scan runs here; BiPoly objects are built only at the
-# boundaries.
-
-_Z = Fraction(0)
-
-
-def _trim(u: list[Fraction]) -> list[Fraction]:
-    while u and not u[-1]:
-        u.pop()
-    return u
-
-
-def _mul(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-    if not u or not v:
-        return []
-    out = [_Z] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v):
-                out[i + j] += x * y
-    return out
-
-
-def _sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-    out = list(u) + [_Z] * (len(v) - len(u))
-    for i, y in enumerate(v):
-        out[i] -= y
-    return _trim(out)
-
-
-def _divmod_monic(
-    u: Sequence[Fraction], m: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(u)
-    dq = len(rem) - len(m)
-    if dq < 0:
-        return [], _trim(rem)
-    quot = [_Z] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + len(m) - 1]
-        if c:
-            quot[k] = c
-            for j, y in enumerate(m):
-                rem[k + j] -= c * y
-    del rem[len(m) - 1 :]
-    return _trim(quot), _trim(rem)
+# Polynomials in lambda as plain lists of Fractions, ascending, run through
+# the coefficient-list kernel of exactpoly.  The hot path of the subset
+# scan runs here; BiPoly objects are built only at the boundaries.
 
 
 def _bezout(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -255,7 +211,7 @@ def _bezout(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[
             )
         inv = 1 / lead
         monic_r1 = [c * inv for c in r1]
-        q, r = _divmod_monic(r0, monic_r1)
+        q, r = _divmod(r0, monic_r1)
         q = [c * inv for c in q]
         r0, r1 = r1, r
         u0, u1 = u1, _sub(u0, _mul(q, u1))
@@ -271,8 +227,44 @@ def _root_product(values: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def _layers_of(P: BiPoly) -> list[list[Fraction]]:
-    return [list(l.coeffs) for l in P.layers]
+class _Seed(NamedTuple):
+    """Start of the lift of one subset: the curve's t-layers as lists,
+    the canonical subset, its seed factors F0 and G0 with the Bezout pair
+    (U, V), U*F0 + V*G0 = 1, the t-degree caps of both sides and the
+    working order D + 1, one past deg_t of the curve (see the module
+    docstring)."""
+
+    layers: list[list[Fraction]]
+    subset: SubsetSplit
+    F0: list[Fraction]
+    G0: list[Fraction]
+    U: list[Fraction]
+    V: list[Fraction]
+    cap_f: int
+    cap_g: int
+    order: int
+
+
+def _seed(
+    P: BiPoly,
+    roots: Mapping[int, Fraction],
+    subset: SubsetSplit | Iterable[int],
+    universe: tuple[int, ...],
+) -> _Seed:
+    """Seed the lift of ``subset``, a part of ``universe``; ``roots[i]``
+    is the lambda-root at t=0 carrying index i."""
+    if not isinstance(subset, SubsetSplit):
+        subset = SubsetSplit.canonical(subset, universe)
+    elif subset.universe != universe:
+        raise ValueError("subset universe does not match the root list")
+    D = max(P.deg_outer, 0)
+    F0 = _root_product([roots[i] for i in subset.indices])
+    G0 = _root_product([roots[i] for i in subset.complement])
+    U, V = _bezout(F0, G0)
+    cap_f = min(subset.size // 2, D)
+    cap_g = min((len(universe) - subset.size) // 2, D)
+    layers = [list(l.coeffs) for l in P.layers]
+    return _Seed(layers, subset, F0, G0, U, V, cap_f, cap_g, D + 1)
 
 
 class _LiftRun:
@@ -291,22 +283,8 @@ class _LiftRun:
         self.aborted_at = aborted_at
 
 
-def _add(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-    out = list(u) + [_Z] * (len(v) - len(u))
-    for i, y in enumerate(v):
-        out[i] += y
-    return _trim(out)
-
-
 def _lift_core(
-    p_layers: list[list[Fraction]],
-    F0: list[Fraction],
-    G0: list[Fraction],
-    V: list[Fraction],
-    order: int,
-    cap_f: int | None = None,
-    cap_g: int | None = None,
-    abort_on_obstruction: bool = False,
+    seed: _Seed, order: int, capped: bool = False, abort_on_obstruction: bool = False
 ) -> _LiftRun:
     """Order-by-order lift of the unique formal factorization.
 
@@ -315,12 +293,14 @@ def _lift_core(
     deg fk < deg F0: fk is V*d reduced modulo F0, and gk then comes out
     of an exact division (its exactness is an internal invariant).
 
-    With degree caps, the beyond-cap content fk*G0 (for k > cap_f) plus
-    gk*F0 (for k > cap_g) is recorded as the order-k obstruction: a true
-    polynomial factor pair fits inside the caps, so any of this content
-    refutes the subset.  The obstruction sequence is identically zero
-    exactly when the subset terminates; the caps satisfy
-    cap_f <= cap_g."""
+    With the seed's degree caps (``capped``), the beyond-cap content
+    fk*G0 (for k > cap_f) plus gk*F0 (for k > cap_g) is recorded as the
+    order-k obstruction: a true polynomial factor pair fits inside the
+    caps, so any of this content refutes the subset.  The obstruction
+    sequence is identically zero exactly when the subset terminates; the
+    caps satisfy cap_f <= cap_g."""
+    p_layers, F0, G0, V = seed.layers, seed.F0, seed.G0, seed.V
+    cap_f, cap_g = (seed.cap_f, seed.cap_g) if capped else (None, None)
     f: list[list[Fraction]] = [F0]
     g: list[list[Fraction]] = [G0]
     residuals: list[list[Fraction]] = []
@@ -335,8 +315,8 @@ def _lift_core(
         fk: list[Fraction] = []
         gk: list[Fraction] = []
         if d:
-            fk = _divmod_monic(_mul(V, d), F0)[1]
-            gk, leftover = _divmod_monic(_sub(d, _mul(fk, G0)), F0)
+            fk = _divmod(_mul(V, d), F0)[1]
+            gk, leftover = _divmod(_sub(d, _mul(fk, G0)), F0)
             if leftover:
                 raise ArithmeticError("lift correction failed to divide out")
         blocked: list[Fraction] = []
@@ -389,19 +369,13 @@ def lift_subset(
         raise ValueError("target_order must be >= 1")
     values = _validate_seed(P, roots)
     universe = tuple(range(1, len(values) + 1))
-    if not isinstance(subset, SubsetSplit):
-        subset = SubsetSplit.canonical(subset, universe)
-    elif subset.universe != universe:
-        raise ValueError("subset universe does not match the root list")
-    F0 = _root_product([values[i - 1] for i in subset.indices])
-    G0 = _root_product([values[i - 1] for i in subset.complement])
-    U, V = _bezout(F0, G0)
-    run = _lift_core(_layers_of(P), F0, G0, V, target_order)
+    seed = _seed(P, dict(zip(universe, values)), subset, universe)
+    run = _lift_core(seed, target_order)
     return LiftState(
-        subset=subset,
+        subset=seed.subset,
         F=_as_bipoly(run.f),
         G=_as_bipoly(run.g),
-        bezout=(UniPoly(U), UniPoly(V)),
+        bezout=(UniPoly(seed.U), UniPoly(seed.V)),
         order=target_order,
         residuals=tuple(UniPoly(d) for d in run.residuals),
     )
@@ -424,19 +398,9 @@ def obstruction_profile(
             "repeated diagonal entries; lifting diagnostics unavailable"
         )
     P = continuant(p)
-    values = [-x for x in p.a]
     universe = tuple(range(1, p.n + 1))
-    if not isinstance(subset, SubsetSplit):
-        subset = SubsetSplit.canonical(subset, universe)
-    elif subset.universe != universe:
-        raise ValueError("subset universe does not match the pencil")
-    D = max(P.deg_outer, 0)
-    cap_f = min(subset.size // 2, D)
-    cap_g = min((p.n - subset.size) // 2, D)
-    F0 = _root_product([values[i - 1] for i in subset.indices])
-    G0 = _root_product([values[i - 1] for i in subset.complement])
-    _, V = _bezout(F0, G0)
-    run = _lift_core(_layers_of(P), F0, G0, V, D + 1, cap_f, cap_g)
+    seed = _seed(P, {i: -p.a[i - 1] for i in universe}, subset, universe)
+    run = _lift_core(seed, seed.order, capped=True)
     return [UniPoly(o) for o in run.obstructions]
 
 
@@ -445,19 +409,12 @@ def _attempt_split(
 ) -> tuple[BiPoly, BiPoly] | None:
     """Decision-mode lift of one subset: degree-capped, with the exact
     product of the truncated factors as the acceptance gate."""
-    D = max(P.deg_outer, 0)
-    cap_f = min(subset.size // 2, D)
-    cap_g = min((len(indices) - subset.size) // 2, D)
-    F0 = _root_product([roots[i] for i in subset.indices])
-    G0 = _root_product([roots[i] for i in subset.complement])
-    _, V = _bezout(F0, G0)
-    run = _lift_core(
-        _layers_of(P), F0, G0, V, D + 1, cap_f, cap_g, abort_on_obstruction=True
-    )
+    seed = _seed(P, roots, subset, indices)
+    run = _lift_core(seed, seed.order, capped=True, abort_on_obstruction=True)
     if run.aborted_at is not None:
         return None
-    F = _as_bipoly(run.f[: cap_f + 1])
-    G = _as_bipoly(run.g[: cap_g + 1])
+    F = _as_bipoly(run.f[: seed.cap_f + 1])
+    G = _as_bipoly(run.g[: seed.cap_g + 1])
     if F * G == P:
         return F, G
     return None

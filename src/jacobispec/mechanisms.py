@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import JacobiSpecError
-from .exactpoly import BiPoly, UniPoly, W_FORM, divide_exact_lambda, to_w_form
-from .pencil import Block, JacobiPencil, continuant, extract_block
+from .exactpoly import BiPoly, UniPoly, W_FORM, divide_exact_lambda
+from .pencil import Block, JacobiPencil, continuant, curve_w, extract_block, tridiag_det
 
 CUT = "cut"
 CONSTANT_BRANCH = "constant-branch"
@@ -54,10 +54,6 @@ PALINDROME = "palindrome"
 SCALAR_BLOCK = "scalar-block"
 
 KINDS = (CUT, CONSTANT_BRANCH, PALINDROME, SCALAR_BLOCK)
-
-
-def _curve_w(p: JacobiPencil) -> BiPoly:
-    return to_w_form(continuant(p))
 
 
 @dataclass
@@ -184,16 +180,6 @@ def _palindromic_couplings(block: Block) -> list[Fraction] | None:
     return d
 
 
-def _tridiag_det_w(diag: list[BiPoly], offprod: list[BiPoly]) -> BiPoly:
-    """Determinant of a tridiagonal matrix given its diagonal entries and
-    the products of paired off-diagonal entries."""
-    prev = BiPoly.one(W_FORM)
-    cur = diag[0]
-    for k in range(1, len(diag)):
-        cur, prev = diag[k] * cur - offprod[k - 1] * prev, cur
-    return cur
-
-
 def detect_palindrome(block: Block) -> Certificate | None:
     """Split a palindromic connected block into its symmetric and
     antisymmetric parts; None when the block is not palindromic.
@@ -213,19 +199,19 @@ def detect_palindrome(block: Block) -> Certificate | None:
     sq = [BiPoly.constant(d[k] * d[k], W_FORM).mul_outer_power(2) for k in range(h)]
     if m % 2 == 0:
         corner = BiPoly.constant(d[h - 1], W_FORM).mul_outer_power(1)
-        plus = _tridiag_det_w(lin[: h - 1] + [lin[h - 1] + corner], sq[: h - 1])
-        minus = _tridiag_det_w(lin[: h - 1] + [lin[h - 1] - corner], sq[: h - 1])
+        plus = tridiag_det(lin[: h - 1] + [lin[h - 1] + corner], sq[: h - 1])
+        minus = tridiag_det(lin[: h - 1] + [lin[h - 1] - corner], sq[: h - 1])
         factors = (plus, minus)
         parity = "even"
     else:
-        sym = _tridiag_det_w(lin[: h + 1], sq[: h - 1] + [2 * sq[h - 1]])
-        anti = _tridiag_det_w(lin[:h], sq[: h - 1])
+        sym = tridiag_det(lin[: h + 1], sq[: h - 1] + [2 * sq[h - 1]])
+        anti = tridiag_det(lin[:h], sq[: h - 1])
         factors = (sym, anti)
         parity = "odd"
     cert = Certificate(
         kind=PALINDROME,
         block=(block.r, block.s),
-        target=_curve_w(block.as_pencil()),
+        target=curve_w(block.as_pencil()),
         factors=factors,
         data={"half": h, "parity": parity, "couplings": tuple(d)},
     )
@@ -290,12 +276,8 @@ def _homogenize(f: UniPoly, shift: Fraction) -> BiPoly:
 def coupling_charpoly(block: Block) -> UniPoly:
     """Characteristic polynomial det(mu*I - B) of the coupling-only
     matrix of the block, by the tridiagonal minor recurrence."""
-    cc = [x * x for x in block.couplings()]
-    prev = UniPoly.one()
-    cur = UniPoly.variable()
-    for k in range(2, block.m + 1):
-        cur, prev = UniPoly.variable() * cur - cc[k - 2] * prev, cur
-    return cur
+    mu = UniPoly.variable()
+    return tridiag_det([mu] * block.m, [x * x for x in block.couplings()])
 
 
 def scalar_block_certificate(block: Block) -> Certificate:
@@ -318,7 +300,7 @@ def scalar_block_certificate(block: Block) -> Certificate:
     cert = Certificate(
         kind=SCALAR_BLOCK,
         block=(block.r, block.s),
-        target=_curve_w(block.as_pencil()),
+        target=curve_w(block.as_pencil()),
         factors=factors,
         data={
             "value": shift,
@@ -393,7 +375,7 @@ def apply_all(p: JacobiPencil) -> MechanismReport:
             for f in cert.factors:
                 peel_branches(f, block)
             return
-        peel_branches(_curve_w(block.as_pencil()), block)
+        peel_branches(curve_w(block.as_pencil()), block)
 
     def process_interval(r: int, s: int) -> None:
         cut = next(
@@ -402,13 +384,13 @@ def apply_all(p: JacobiPencil) -> MechanismReport:
         if cut is None:
             process_component(r, s)
             return
-        left = _curve_w(extract_block(p, r, cut))
-        right = _curve_w(extract_block(p, cut + 1, s))
+        left = curve_w(extract_block(p, r, cut))
+        right = curve_w(extract_block(p, cut + 1, s))
         certificates.append(
             Certificate(
                 kind=CUT,
                 block=(r, s),
-                target=_curve_w(extract_block(p, r, s)),
+                target=curve_w(extract_block(p, r, s)),
                 factors=(left, right),
                 data={"coupling_index": cut},
             )
@@ -419,7 +401,7 @@ def apply_all(p: JacobiPencil) -> MechanismReport:
     process_interval(1, p.n)
     report = MechanismReport(
         pencil=p,
-        curve=_curve_w(p),
+        curve=curve_w(p),
         certificates=certificates,
         residual_factors=leaves,
     )

@@ -238,18 +238,6 @@ def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return z
 
 
-def _merge_clusters(points: list[complex], tol: float) -> list[complex]:
-    merged: list[list[complex]] = []
-    for z in sorted(points, key=lambda v: (v.real, v.imag)):
-        for group in merged:
-            if abs(group[0] - z) < tol:
-                group.append(z)
-                break
-        else:
-            merged.append([z])
-    return [sum(g) / len(g) for g in merged]
-
-
 def _exact_squarefree_check(p: JacobiPencil) -> None:
     chi = curve_w(p)
     g = gcd_in_lambda(chi, chi.derivative_lambda())
@@ -261,13 +249,15 @@ def _exact_squarefree_check(p: JacobiPencil) -> None:
 
 
 def branch_points(p: JacobiPencil) -> list[ComplexApprox]:
-    """Numeric roots of the exact lambda-discriminant in w, deduplicated.
+    """Numeric roots of the exact lambda-discriminant in w.
 
     The discriminant comes from exact arithmetic; only root finding is
     numeric.  Roots are found on the exact squarefree part (repeated
-    discriminant roots carry no extra branch points), polished by an
-    Aberth pass, and clusters closer than 1e-8 times the root scale are
-    merged."""
+    discriminant roots carry no extra branch points) and polished by an
+    Aberth pass.  The squarefree part has distinct roots, so two polished
+    roots closer than 1e-8 times the root scale are a numeric failure,
+    never one branch point: TrackingError is raised instead of merging
+    them."""
     if p.n < 2:
         raise UnsupportedPencilError("monodromy needs at least two sheets")
     _exact_squarefree_check(p)
@@ -287,9 +277,13 @@ def branch_points(p: JacobiPencil) -> list[ComplexApprox]:
                 0.0 if abs(z.imag) < snap else z.imag)
         for z in polished
     ]
-    merged = _merge_clusters(cleaned, CLUSTER_TOL * scale)
-    merged.sort(key=lambda z: (z.real, z.imag))
-    return [ComplexApprox.from_complex(z) for z in merged]
+    if _min_separation(cleaned) < CLUSTER_TOL * scale:
+        raise TrackingError(
+            "two roots of the squarefree discriminant are numerically "
+            "coincident; branch points cannot be separated"
+        )
+    cleaned.sort(key=lambda z: (z.real, z.imag))
+    return [ComplexApprox.from_complex(z) for z in cleaned]
 
 
 def _base_point(bps: Sequence[complex]) -> complex:

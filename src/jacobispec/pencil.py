@@ -14,6 +14,11 @@ three-term recurrence for leading principal minors and is the production
 path; ``charpoly_oracle`` expands the symbolic determinant by cofactors
 and exists only to cross-check the first.  Keeping the routes independent
 is deliberate: they share no code beyond the polynomial arithmetic.
+
+The recurrence itself is ``tridiag_det``, the one tridiagonal determinant
+of the package: ``continuant`` runs it on BiPoly entries, and the
+palindrome split and the coupling polynomial of a scalar block in
+``mechanisms`` run it too.  The oracle never calls it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .exactpoly import (
     BiPoly,
     T_FORM,
     W_FORM,
-    UniPoly,
     _as_fraction,
     to_t_form,
     to_w_form,
@@ -37,6 +41,7 @@ __all__ = [
     "JacobiPencil",
     "Block",
     "continuant",
+    "tridiag_det",
     "charpoly_oracle",
     "symbolic_det",
     "extract_block",
@@ -136,19 +141,30 @@ def extract_block(p: JacobiPencil, r: int, s: int) -> JacobiPencil:
     return JacobiPencil(p.a[r - 1 : s], p.b[r - 1 : s - 1])
 
 
+def tridiag_det(diag: Sequence, offprod: Sequence):
+    """Determinant of a tridiagonal matrix over a commutative ring, given
+    its diagonal entries d_1..d_m and the products e_1..e_{m-1} of the
+    paired off-diagonal entries, by the leading-minor recurrence
+
+        D_0 = 1,  D_1 = d_1,  D_k = d_k * D_{k-1} - e_{k-1} * D_{k-2}.
+
+    The entries may be BiPoly, UniPoly or Fraction values."""
+    prev, cur = 1, diag[0]
+    for k in range(1, len(diag)):
+        cur, prev = diag[k] * cur - offprod[k - 1] * prev, cur
+    return cur
+
+
 def continuant(p: JacobiPencil) -> BiPoly:
     """Spectral curve in t-form (t = w^2) by the minor recurrence
 
         P_0 = 1,  P_1 = lambda + a_1,
         P_k = (lambda + a_k) * P_{k-1} - t * b_{k-1}^2 * P_{k-2}.
     """
-    prev = BiPoly.one(T_FORM)
-    cur = BiPoly.linear_lambda(p.a[0], T_FORM)
-    for k in range(1, p.n):
-        lin = BiPoly.linear_lambda(p.a[k], T_FORM)
-        drop = BiPoly.constant(p.c[k - 1], T_FORM).mul_outer_power(1)
-        cur, prev = lin * cur - drop * prev, cur
-    return cur
+    return tridiag_det(
+        [BiPoly.linear_lambda(x, T_FORM) for x in p.a],
+        [BiPoly.constant(c, T_FORM).mul_outer_power(1) for c in p.c],
+    )
 
 
 def symbolic_det(matrix: Sequence[Sequence[BiPoly]]) -> BiPoly:
@@ -219,9 +235,3 @@ def curve_t(p: JacobiPencil) -> BiPoly:
 def curve_w(p: JacobiPencil) -> BiPoly:
     """Spectral curve in w-form."""
     return to_w_form(continuant(p))
-
-
-def eigenvalue_oracle_roots(p: JacobiPencil, w_value: Fraction) -> UniPoly:
-    """Univariate lambda-polynomial of the curve at a rational w value,
-    computed from the w-form curve.  Handy for spot checks."""
-    return curve_w(p).eval_outer(w_value)

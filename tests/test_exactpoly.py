@@ -1,8 +1,10 @@
 """Exact polynomial layer: parsing, arithmetic, gcd, resultants."""
 
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,11 @@ from jacobispec.errors import ExactDivisionError, TagMismatchError
 from jacobispec.exactpoly import (
     BiPoly,
     UniPoly,
+    _add,
+    _divexact,
+    _divmod,
+    _mul,
+    _sub,
     discriminant_in_lambda,
     divide_exact_lambda,
     format_rational,
@@ -19,6 +26,7 @@ from jacobispec.exactpoly import (
     to_t_form,
     to_w_form,
 )
+from jacobispec.pencil import continuant, curve_w, pencil
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -259,3 +267,123 @@ def test_discriminant_requires_monic_quadratic_or_more():
 
 def test_unipoly_render():
     assert UniPoly([1, 0, -2]).render("x") in ("-2x^2 + 1", "-2*x^2 + 1")
+
+
+# ---------------------------------------------------------------------------
+# differential checks against sympy over QQ
+
+_X, _LAM, _OUTER = sympy.symbols("x lam outer")
+
+
+def _sym_list(u):
+    return sympy.Poly.from_list(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(u)],
+        _X,
+        domain="QQ",
+    )
+
+
+def _sym_bipoly(p: BiPoly):
+    return sum(
+        sympy.Rational(c.numerator, c.denominator) * _LAM**i * _OUTER**j
+        for j, layer in enumerate(p.layers)
+        for i, c in enumerate(layer.coeffs)
+    )
+
+
+def _from_sym_outer(expr) -> UniPoly:
+    coeffs = sympy.Poly(expr, _OUTER, domain="QQ").all_coeffs()
+    return UniPoly(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
+
+
+def _random_list(rng, kind, length, monic=False):
+    if kind is int:
+        u = [rng.randint(-9, 9) for _ in range(length)]
+    else:
+        u = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(length)]
+    if length and monic:
+        u[-1] = kind(1)
+    elif length and not u[-1]:
+        u[-1] = kind(rng.choice([-3, -1, 2, 5]))
+    return u
+
+
+def test_list_kernel_matches_sympy():
+    rng = random.Random(4242)
+    for trial in range(300):
+        kind = int if trial % 2 == 0 else Fraction
+        u = _random_list(rng, kind, rng.randint(0, 6))
+        v = _random_list(rng, kind, rng.randint(1, 4), monic=kind is int)
+        su, sv = _sym_list(u), _sym_list(v)
+        outputs = {
+            "add": (_add(u, v), su + sv),
+            "sub": (_sub(u, v), su - sv),
+            "mul": (_mul(u, v), su * sv),
+        }
+        q, r = _divmod(u, v)
+        sq, sr = sympy.div(su, sv)
+        outputs["quot"] = (q, sq)
+        outputs["rem"] = (r, sr)
+        for name, (got, expected) in outputs.items():
+            assert _sym_list(got) == expected, (name, u, v)
+            if kind is int:
+                assert all(type(c) is int for c in got), (name, u, v)
+
+
+def test_divexact_integer_lists():
+    rng = random.Random(77)
+    for _ in range(200):
+        u = _random_list(rng, int, rng.randint(1, 6))
+        v = _random_list(rng, int, rng.randint(2, 4))
+        w = _mul(u, v)
+        q = _divexact(w, v)
+        assert q == u
+        assert all(type(c) is int for c in q)
+        with pytest.raises(ExactDivisionError):
+            _divexact(_add(w, [1]), v)
+
+
+def _random_pencil(rng, n):
+    # rational entries exercise the denominator scaling of the resultant
+    a = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+    b = [Fraction(rng.choice([-9, -2, 1, 3, 7]), rng.randint(1, 2)) for _ in a[1:]]
+    return pencil(a, b)
+
+
+def _sparse_bipoly(rng, tag):
+    # zero-rich and not monic in lambda, unlike any curve
+    while True:
+        layers = [
+            UniPoly(rng.choice([0, 0, 0, -2, 1, 3]) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        q = BiPoly(layers, tag)
+        if not q.is_zero:
+            return q
+
+
+def test_resultant_and_discriminant_match_sympy():
+    rng = random.Random(2718)
+    for trial in range(10):
+        form = continuant if trial % 2 == 0 else curve_w
+        p = form(_random_pencil(rng, rng.randint(2, 5)))
+        sp = _sym_bipoly(p)
+        q_curve = form(_random_pencil(rng, rng.randint(1, 5)))
+        for q in (q_curve, _sparse_bipoly(rng, p.tag)):
+            assert resultant_in_lambda(p, q) == _from_sym_outer(
+                sympy.resultant(sp, _sym_bipoly(q), _LAM)
+            )
+        assert discriminant_in_lambda(p) == _from_sym_outer(
+            sympy.discriminant(sp, _LAM)
+        )
+    # an even and an odd polynomial in lambda meet zero pivots in the
+    # elimination; these pairs swap rows an odd number of times
+    lam, t = BiPoly.lam("t"), BiPoly.outer("t")
+    for p, q in [
+        (lam**2 + t, lam**3 + lam),
+        (lam**4 + t * lam**2 + 1, lam**3 + t * lam),
+        (lam**4 + (t + 1) * lam**2 + t, t * lam**3 + lam),
+    ]:
+        assert resultant_in_lambda(p, q) == _from_sym_outer(
+            sympy.resultant(_sym_bipoly(p), _sym_bipoly(q), _LAM)
+        )

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from jacobispec.errors import NotSquarefreeError, UnsupportedPencilError
+from jacobispec import monodromy
+from jacobispec.errors import NotSquarefreeError, TrackingError, UnsupportedPencilError
 from jacobispec.hensel import decide
 from jacobispec.monodromy import (
     ComplexApprox,
@@ -123,6 +124,24 @@ def test_close_branch_point_pair_regression():
     # approach has to resolve them anyway
     r = monodromy_group(pencil([9, 7, -8, 8], [8, -4, 0]))
     assert r.certified_step is None or r.certified_step > 0
+
+
+def test_near_coincident_branch_points_raise(monkeypatch):
+    # the squarefree discriminant has distinct roots, so two polished
+    # roots closer than CLUSTER_TOL times the scale are a numeric failure
+    # that must be reported, never merged into one branch point
+    p = pencil([0, 1, 5], [1, 1])
+    assert len(branch_points(p)) == 6  # n(n-1) distinct roots in w
+    polish = monodromy._aberth_polish
+
+    def crowded(coeffs, roots):
+        z = polish(coeffs, roots)
+        z[1] = z[0] + 1e-3 * monodromy.CLUSTER_TOL
+        return z
+
+    monkeypatch.setattr(monodromy, "_aberth_polish", crowded)
+    with pytest.raises(TrackingError):
+        branch_points(p)
 
 
 def test_orbits_agree_with_exact_decision():
