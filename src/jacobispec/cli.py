@@ -70,7 +70,8 @@ def _require(doc: dict, key: str, kind: type, where: str):
     if key not in doc:
         raise DocumentError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    # JSON true/false load as bool, which Python counts as an int
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise DocumentError(f"{where}: field {key!r} must be {kind.__name__}")
     return value
 
@@ -106,9 +107,7 @@ def load_campaign(doc: dict, seed_override: int | None) -> Campaign:
     sampler = _require(doc, "sampler", str, "campaign")
     bound = _require(doc, "parameter_range", int, "campaign")
     count = _require(doc, "sample_count", int, "campaign")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise DocumentError("campaign: field 'seed' must be int")
+    seed = _require(doc, "seed", int, "campaign") if "seed" in doc else 0
     if seed_override is not None:
         seed = seed_override
     try:

@@ -158,6 +158,20 @@ def _divexact(u: Sequence, v: Sequence) -> list:
     return _trim(quot)
 
 
+def _power(base, n: int, one):
+    """base**n by square-and-multiply through ``*``; ``one`` is the
+    identity of base's ring."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 class UniPoly:
     """Dense univariate polynomial over Fraction, ascending coefficients."""
 
@@ -262,16 +276,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, UniPoly.one())
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if not isinstance(other, UniPoly):
@@ -315,12 +320,6 @@ class UniPoly:
         while not b.is_zero:
             a, b = b, a % b
         return a.monic()
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by variable^k."""
-        if self.is_zero:
-            return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
 
     def squarefree_part(self) -> "UniPoly":
         if self.degree <= 0:
@@ -518,16 +517,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = BiPoly.one(self.tag)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, BiPoly.one(self.tag))
 
     def mul_outer_power(self, k: int) -> "BiPoly":
         """Multiply by outer^k."""

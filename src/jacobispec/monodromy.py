@@ -18,13 +18,17 @@ w-axis and the ascending real order at w0 is the ascending order of the
 -a_i.  For other pencils the sorted labeling is simply a fixed
 convention.
 
-Tracking.  Roots are recomputed from the exact coefficients at each step
-(companion-matrix eigenvalues) and matched to the previous positions by
-nearest assignment.  A step is certified when the largest root movement
-is below a third of the smallest pairwise root separation before the
-step; the triangle inequality then forces the assignment to be the
-unique correct bijection.  Failing steps bisect down to a minimum
-parameter step, below which TrackingError propagates.
+Tracking.  Sheet positions at a point w come from one Horner pass over a
+table of the exact w-form coefficients (one row per power of w, one
+column per power of lambda), giving the lambda-coefficients of
+chi(., w), followed by ``numpy.roots``.  One nearest-neighbour matcher
+serves both the tracking steps and the loop ends.  A step is certified
+when the largest root movement is below a third of the smallest
+pairwise root separation before the step; the triangle inequality then
+forces the assignment to be the unique correct bijection.  Failing
+steps bisect down to a minimum parameter step, below which
+TrackingError propagates.  A loop end is matched back to the positions
+it started from under the same rule.
 
 Loops.  Each branch point gets a lasso: a straight segment from w0 to
 the boundary of a small circle, the circle counterclockwise, and back.
@@ -49,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NotSquarefreeError, TrackingError, UnsupportedPencilError
-from .exactpoly import UniPoly, discriminant_in_lambda, gcd_in_lambda
+from .exactpoly import BiPoly, discriminant_in_lambda, gcd_in_lambda
 from .pencil import JacobiPencil, curve_w
 
 RESIDUAL_TOL = 1e-12
@@ -110,38 +114,26 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(q[p[i]] for i in range(len(p)))
 
 
-class _CurveNumerics:
-    """Float evaluation of the exact w-form curve: lambda-coefficients
-    at a w value and the corresponding root vector."""
-
-    def __init__(self, p: JacobiPencil):
-        cols = curve_w(p).lambda_major()
-        # ascending lambda; each entry ascending w-coefficients
-        self.cols = [
-            np.array([complex(c) for c in col.coeffs] or [0j]) for col in cols
+def _sheet_solver(chi: BiPoly) -> Callable[[complex], np.ndarray]:
+    """Float sheet positions of the exact w-form curve: w -> the roots of
+    chi(., w).  The table has one row per w-power and one column per
+    lambda-power, both highest first; Horner over the rows performs the
+    same float operations as ``np.polyval`` on each lambda-column."""
+    degree = chi.deg_lambda
+    table = np.array(
+        [
+            [complex(layer.coefficient(i)) for i in range(degree, -1, -1)]
+            for layer in reversed(chi.layers)
         ]
-        self.n = len(cols) - 1
+    )
 
-    def lambda_poly(self, w: complex) -> np.ndarray:
-        """Coefficients of chi(., w), descending, leading first."""
-        vals = [
-            complex(np.polyval(col[::-1], w)) for col in self.cols
-        ]
-        return np.array(vals[::-1])
+    def roots(w: complex) -> np.ndarray:
+        acc = np.zeros(degree + 1, dtype=complex)
+        for row in table:
+            acc = acc * w + row
+        return np.roots(acc)
 
-    def roots(self, w: complex) -> np.ndarray:
-        return np.roots(self.lambda_poly(w))
-
-
-class _StepTracker:
-    """Accumulates the worst separation ratio over accepted steps."""
-
-    def __init__(self):
-        self.min_ratio = math.inf
-
-    def record(self, ratio: float) -> None:
-        if ratio < self.min_ratio:
-            self.min_ratio = ratio
+    return roots
 
 
 def _min_separation(points: np.ndarray) -> float:
@@ -155,40 +147,35 @@ def _min_separation(points: np.ndarray) -> float:
     return best
 
 
-def _certified_step(
-    current: np.ndarray, new_roots: np.ndarray
-) -> tuple[np.ndarray, float] | None:
-    """Match new roots to current sheet positions.  Returns the new
-    positions ordered by sheet, plus the separation ratio, or None when
-    the movement certificate fails."""
-    sep = _min_separation(current)
-    n = len(current)
-    taken = [False] * n
-    ordered = np.empty_like(current)
+def _match(
+    queries: np.ndarray, candidates: np.ndarray, sep: float
+) -> tuple[list[int], float] | None:
+    """Nearest candidate index for each query, plus the largest move.
+    None when two queries pick the same candidate or a move reaches
+    sep / SEPARATION_FACTOR."""
+    taken = [False] * len(candidates)
+    picks = []
     max_move = 0.0
-    for i in range(n):
-        dists = np.abs(new_roots - current[i])
+    for q in queries:
+        dists = np.abs(candidates - q)
         j = int(np.argmin(dists))
-        if taken[j]:
-            return None
         move = float(dists[j])
-        if move * SEPARATION_FACTOR >= sep:
+        if taken[j] or move * SEPARATION_FACTOR >= sep:
             return None
         taken[j] = True
-        ordered[i] = new_roots[j]
-        if move > max_move:
-            max_move = move
-    ratio = math.inf if max_move == 0.0 else sep / max_move
-    return ordered, ratio
+        picks.append(j)
+        max_move = max(max_move, move)
+    return picks, max_move
 
 
 def _track(
-    curve: _CurveNumerics,
+    solve: Callable[[complex], np.ndarray],
     path: Callable[[float], complex],
     start: np.ndarray,
-    tracker: _StepTracker,
+    ratios: list[float],
 ) -> np.ndarray:
-    """Continue sheet positions along path(s), s in [0, 1]."""
+    """Continue sheet positions along path(s), s in [0, 1], appending the
+    separation-to-movement ratio of every accepted step to ``ratios``."""
     # The step cap keeps any closed path sampled densely enough that a
     # root exchange cannot complete inside one step and fool the
     # movement certificate with a near-zero apparent displacement.
@@ -197,7 +184,9 @@ def _track(
     step = MAX_PARAM_STEP
     while s < 1.0:
         target = min(1.0, s + step)
-        outcome = _certified_step(current, curve.roots(path(target)))
+        new_roots = solve(path(target))
+        sep = _min_separation(current)
+        outcome = _match(current, new_roots, sep)
         if outcome is None:
             step /= 2.0
             if step < MIN_PARAM_STEP:
@@ -205,8 +194,9 @@ def _track(
                     f"separation certificate failed near path parameter {s:.6f}"
                 )
             continue
-        current, ratio = outcome
-        tracker.record(ratio)
+        picks, max_move = outcome
+        current = new_roots[picks]
+        ratios.append(math.inf if max_move == 0.0 else sep / max_move)
         s = target
         if step < MAX_PARAM_STEP:
             step *= 2.0
@@ -238,16 +228,6 @@ def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return z
 
 
-def _exact_squarefree_check(p: JacobiPencil) -> None:
-    chi = curve_w(p)
-    g = gcd_in_lambda(chi, chi.derivative_lambda())
-    if g.deg_lambda > 0:
-        raise NotSquarefreeError(
-            "curve has a repeated lambda-factor; factor first, then take "
-            "monodromy of the squarefree parts"
-        )
-
-
 def branch_points(p: JacobiPencil) -> list[ComplexApprox]:
     """Numeric roots of the exact lambda-discriminant in w.
 
@@ -260,8 +240,13 @@ def branch_points(p: JacobiPencil) -> list[ComplexApprox]:
     them."""
     if p.n < 2:
         raise UnsupportedPencilError("monodromy needs at least two sheets")
-    _exact_squarefree_check(p)
-    disc = discriminant_in_lambda(curve_w(p))
+    chi = curve_w(p)
+    if gcd_in_lambda(chi, chi.derivative_lambda()).deg_lambda > 0:
+        raise NotSquarefreeError(
+            "curve has a repeated lambda-factor; factor first, then take "
+            "monodromy of the squarefree parts"
+        )
+    disc = discriminant_in_lambda(chi)
     if disc.is_zero:
         raise NotSquarefreeError("identically zero discriminant")
     reduced = disc.squarefree_part()
@@ -291,30 +276,27 @@ def _base_point(bps: Sequence[complex]) -> complex:
     return complex(2.0 * (1.0 + top), 0.0)
 
 
-def _loop_radius(bp: complex, others: Sequence[complex], w0: complex) -> float:
-    nearest = min((abs(bp - o) for o in others), default=abs(w0 - bp))
-    return max(nearest / 3.0, MIN_PARAM_STEP)
-
-
 def _sorted_start(roots: np.ndarray) -> np.ndarray:
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
     return roots[order]
 
 
-def _end_permutation(start: np.ndarray, final: np.ndarray) -> tuple[int, ...]:
-    """Match final sheet positions back to the start labels (0-based)."""
-    sep = _min_separation(start)
-    n = len(start)
-    taken = [False] * n
-    perm = [0] * n
-    for i in range(n):
-        dists = np.abs(start - final[i])
-        j = int(np.argmin(dists))
-        if taken[j] or float(dists[j]) * SEPARATION_FACTOR >= sep:
-            raise TrackingError("loop endpoint does not match its start labels")
-        taken[j] = True
-        perm[i] = j
-    return tuple(perm)
+def _circle(
+    solve: Callable[[complex], np.ndarray],
+    center: complex,
+    radius: float,
+    phase: float,
+    start: np.ndarray,
+    ratios: list[float],
+) -> tuple[int, ...]:
+    """Permutation (0-based) of the sheets at the circle's starting point
+    after one counterclockwise turn from angle ``phase``."""
+    circle = lambda s: center + radius * cmath.exp(1j * (phase + 2.0 * math.pi * s))
+    after = _track(solve, circle, start, ratios)
+    outcome = _match(after, start, _min_separation(start))
+    if outcome is None:
+        raise TrackingError("loop endpoint does not match its start labels")
+    return tuple(outcome[0])
 
 
 EXCLUSION_FACTOR = 0.4
@@ -380,26 +362,14 @@ def _piece_path(piece: tuple) -> Callable[[float], complex]:
     return lambda s: center + r * cmath.exp(1j * (ph0 + s * sweep))
 
 
-def _track_route(
-    curve: _CurveNumerics,
-    pieces: list[tuple],
-    start: np.ndarray,
-    tracker: _StepTracker,
-) -> np.ndarray:
-    current = start
-    for piece in pieces:
-        current = _track(curve, _piece_path(piece), current, tracker)
-    return current
-
-
 def _lasso(
-    curve: _CurveNumerics,
+    solve: Callable[[complex], np.ndarray],
     w0: complex,
     base: np.ndarray,
     bp: complex,
     radius: float,
     obstacles: list[tuple[complex, float]],
-    tracker: _StepTracker,
+    ratios: list[float],
 ) -> tuple[int, ...]:
     direction = (w0 - bp) / abs(w0 - bp)
     entry = bp + radius * direction
@@ -421,24 +391,8 @@ def _lasso(
         closures.append(_piece_path(route[-1]))
     at_entry = base
     for path in closures:
-        at_entry = _track(curve, path, at_entry, tracker)
-    phase = cmath.phase(entry - bp)
-    circle = lambda s: bp + radius * cmath.exp(1j * (phase + 2.0 * math.pi * s))
-    after = _track(curve, circle, at_entry, tracker)
-    return _end_permutation(at_entry, after)
-
-
-def _circle_permutation(
-    curve: _CurveNumerics,
-    center: complex,
-    radius: float,
-    tracker: _StepTracker,
-) -> tuple[int, ...]:
-    start_point = center + radius
-    base = _sorted_start(curve.roots(start_point))
-    circle = lambda s: center + radius * cmath.exp(2j * math.pi * s)
-    after = _track(curve, circle, base, tracker)
-    return _end_permutation(base, after)
+        at_entry = _track(solve, path, at_entry, ratios)
+    return _circle(solve, bp, radius, cmath.phase(entry - bp), at_entry, ratios)
 
 
 def track_loop(
@@ -458,9 +412,8 @@ def track_loop(
             raise ValueError(
                 f"circle passes too close to branch point {bp}"
             )
-    curve = _CurveNumerics(p)
-    tracker = _StepTracker()
-    perm = _circle_permutation(curve, c, radius, tracker)
+    solve = _sheet_solver(curve_w(p))
+    perm = _circle(solve, c, radius, 0.0, _sorted_start(solve(c + radius)), [])
     return tuple(i + 1 for i in perm)
 
 
@@ -507,28 +460,30 @@ def monodromy_group(p: JacobiPencil) -> MonodromyReport:
     bps = branch_points(p)
     values = [b.value for b in bps]
     w0 = _base_point(values)
-    curve = _CurveNumerics(p)
-    tracker = _StepTracker()
-    base = _sorted_start(curve.roots(w0))
-    exclusion = [
-        (
-            bp,
-            EXCLUSION_FACTOR
-            * min((abs(bp - o) for o in values if o != bp), default=abs(w0 - bp)),
-        )
+    solve = _sheet_solver(curve_w(p))
+    ratios: list[float] = []
+    base = _sorted_start(solve(w0))
+    nearest = [
+        min((abs(bp - o) for o in values if o != bp), default=abs(w0 - bp))
         for bp in values
     ]
+    exclusion = [(bp, EXCLUSION_FACTOR * d) for bp, d in zip(values, nearest)]
     perms: list[tuple[int, ...]] = []
     for k, bp in enumerate(values):
-        others = [o for o in values if o != bp]
-        radius = _loop_radius(bp, others, w0)
+        radius = max(nearest[k] / 3.0, MIN_PARAM_STEP)
         obstacles = exclusion[:k] + exclusion[k + 1 :]
-        perms.append(_lasso(curve, w0, base, bp, radius, obstacles, tracker))
+        try:
+            perms.append(_lasso(solve, w0, base, bp, radius, obstacles, ratios))
+        except TrackingError as exc:
+            raise TrackingError(f"lasso {k + 1} around {bps[k]}: {exc}") from exc
     group_order = _group_closure(perms, p.n)
     orbits = _orbits(perms, p.n)
     if values:
-        big_radius = abs(w0)
-        big = _circle_permutation(curve, 0j, big_radius, tracker)
+        try:
+            start = _sorted_start(solve(0j + abs(w0)))
+            big = _circle(solve, 0j, abs(w0), 0.0, start, ratios)
+        except TrackingError as exc:
+            raise TrackingError(f"big circle: {exc}") from exc
         # concatenation order: by departure angle from the base point,
         # descending; collinear branch points share an angle and the
         # farther one, whose lasso detours around the nearer, comes
@@ -553,7 +508,7 @@ def monodromy_group(p: JacobiPencil) -> MonodromyReport:
         permutations=[tuple(i + 1 for i in g) for g in perms],
         group_order=group_order,
         orbits=orbits,
-        certified_step=tracker.min_ratio,
+        certified_step=min(ratios, default=math.inf),
         consistent=consistent,
     )
 

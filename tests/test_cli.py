@@ -169,6 +169,26 @@ def test_validation_errors_exit_2():
         stdin_text=json.dumps({"n": 2, "a": ["0", "1.5e3"], "b": ["1"]}),
     )
     assert code == cli.EXIT_VALIDATION
+    # JSON booleans are not integers
+    doc = json.dumps({"n": True, "a": ["1"], "b": []})
+    code, _, err = run(["decide"], stdin_text=doc)
+    assert code == cli.EXIT_VALIDATION
+    assert "field 'n' must be int" in err
+    camp = {
+        "name": "t",
+        "n": 3,
+        "sampler": "generic",
+        "parameter_range": True,
+        "sample_count": 4,
+        "seed": False,
+    }
+    code, _, err = run(["campaign"], stdin_text=json.dumps(camp))
+    assert code == cli.EXIT_VALIDATION
+    assert "field 'parameter_range' must be int" in err
+    camp["parameter_range"] = 9
+    code, _, err = run(["campaign"], stdin_text=json.dumps(camp))
+    assert code == cli.EXIT_VALIDATION
+    assert "field 'seed' must be int" in err
 
 
 def test_unsupported_exit_3():

@@ -1,7 +1,9 @@
 """Numeric sheet tracking around branch points; advisory cross-check only."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from jacobispec import monodromy
@@ -15,7 +17,7 @@ from jacobispec.monodromy import (
     orbit_factor_degrees,
     track_loop,
 )
-from jacobispec.pencil import pencil
+from jacobispec.pencil import curve_w, pencil
 
 
 def test_complex_approx():
@@ -142,6 +144,68 @@ def test_near_coincident_branch_points_raise(monkeypatch):
     monkeypatch.setattr(monodromy, "_aberth_polish", crowded)
     with pytest.raises(TrackingError):
         branch_points(p)
+
+
+def test_tracking_error_names_the_failing_loop(monkeypatch):
+    p = pencil([0, 1, 5], [1, 1])
+    first = branch_points(p)[0]
+    match = monodromy._match
+    monkeypatch.setattr(monodromy, "_match", lambda queries, candidates, sep: None)
+    with pytest.raises(TrackingError) as info:
+        monodromy_group(p)
+    assert str(info.value).startswith(f"lasso 1 around {first}: ")
+    assert isinstance(info.value.__cause__, TrackingError)
+
+    # the second sorted start is the big circle's, after every lasso
+    sorted_start = monodromy._sorted_start
+    starts = []
+
+    def counting(roots):
+        starts.append(roots)
+        return sorted_start(roots)
+
+    def failing_on_big_circle(queries, candidates, sep):
+        return None if len(starts) > 1 else match(queries, candidates, sep)
+
+    monkeypatch.setattr(monodromy, "_sorted_start", counting)
+    monkeypatch.setattr(monodromy, "_match", failing_on_big_circle)
+    with pytest.raises(TrackingError, match="^big circle: "):
+        monodromy_group(p)
+
+
+def _by_position(roots):
+    return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+def test_sheet_solver_matches_matrix_eigenvalues():
+    # chi(lambda, w) = det(lambda + A + wB), so the sheets over w are the
+    # negated eigenvalues of A + wB
+    rng = random.Random(11)
+    for n in range(2, 7):
+        a = [rng.randint(-9, 9) for _ in range(n)]
+        b = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n - 1)]
+        solve = monodromy._sheet_solver(curve_w(pencil(a, b)))
+        upper = np.diag(np.array(b, dtype=float), 1)
+        for w in (0.3 + 0.7j, -1.2 + 0.1j, 2.5 - 1.5j):
+            matrix = np.diag(a) + w * (upper + upper.T)
+            got = _by_position(solve(w))
+            want = _by_position(-np.linalg.eigvals(matrix))
+            assert len(got) == n
+            for g, e in zip(got, want):
+                assert abs(g - e) <= 1e-9 * max(1.0, abs(e))
+
+
+def test_matcher_refuses_collisions_and_long_moves():
+    queries = np.array([0.0, 1.0, 2.0 + 0j])
+    picks, move = monodromy._match(queries, np.array([2.1, 0.05, 1.0 + 0j]), 1.0)
+    assert picks == [1, 2, 0]
+    assert move == pytest.approx(0.1)
+    # two queries nearest to the same candidate
+    assert monodromy._match(queries, np.array([0.1, 0.2, 5.0 + 0j]), 10.0) is None
+    # a move of sep / 3 is refused, a shorter one accepted
+    far = np.array([0.0, 10.0, 20.0 + 0j])
+    assert monodromy._match(far, np.array([0.0, 10.0, 21.0 + 0j]), 3.0) is None
+    assert monodromy._match(far, np.array([0.0, 10.0, 20.99 + 0j]), 3.0) is not None
 
 
 def test_orbits_agree_with_exact_decision():
