@@ -221,7 +221,8 @@ def criterion_8(samples: int = 50) -> Result:
 
 
 def criterion_9(samples: int = 1000) -> Result:
-    """Size-8 census: full 127-subset decision per sample, audited hits."""
+    """Size-8 census: complete decision over all 127 subsets per sample
+    (most refuted by the trace filter without a lift), audited hits."""
     report = run_degree8_scan(samples, seed=1)
     hits = [w for w in report.witnesses]
     unaudited = [

@@ -292,8 +292,9 @@ def run_generic(
 def run_degree8_scan(
     samples: int, parameter_range: int = DEFAULT_RANGE, seed: int = 1
 ) -> CampaignReport:
-    """Size-8 census: every sample runs the full 127-subset decision;
-    reducible hits carry the mechanism audit in their witness."""
+    """Size-8 census: every sample runs the complete decision over all
+    127 subsets; reducible hits carry the mechanism audit in their
+    witness."""
     return run_campaign(
         Campaign("degree8-scan", 8, "generic", parameter_range, samples, seed)
     )

@@ -22,7 +22,7 @@ polynomials in t over C and power series in t over Q, hence polynomials
 over Q.  A complex factorization is thus already a rational one, and the
 subset scan sees it.
 
-Two exact cutoffs keep the scan finite and fast:
+Three exact cutoffs keep the scan finite and fast:
 
 * Working order.  A true factor has t-degree at most D = deg_t P, so
   lifting to order D + 1 and truncating recovers it exactly; the final
@@ -40,6 +40,16 @@ Two exact cutoffs keep the scan finite and fast:
   exactly when the subset terminates.  The decision path short-circuits
   at the first nonzero obstruction; the diagnostic entry point runs
   every order and reports the whole profile.
+
+* Trace filter.  A monic factor F with branch set S has lambda^(|S|-1)
+  coefficient -sum_{i in S} lambda_i(t), and the weight bound forces it
+  to be constant in t.  So sum_{i in S} c_{i,k} = 0 for every k >= 1,
+  where c_{i,k} is the t^k coefficient of branch i.  For n > 2 the
+  decision reads c_{i,k} for k = 1..D+1 off the n singleton lifts once,
+  and skips the lift of every subset whose sums are not all zero; such a
+  subset cannot terminate, so the witnesses and factors are those of the
+  plain scan.  The branches of a factor are branches of P, so the
+  recursion reuses the same coefficients.
 
 Repeated diagonal entries are rejected, not mishandled: with a repeated
 root at t = 0 the seed factors need not be coprime, branches can involve
@@ -420,23 +430,44 @@ def _attempt_split(
     return None
 
 
+def _branch_series(
+    P: BiPoly, roots: dict[int, Fraction], universe: tuple[int, ...]
+) -> dict[int, list[Fraction]]:
+    """Coefficients of t^1 .. t^(D+1) of every branch lambda_i(t), the
+    root of P that equals roots[i] at t = 0, read off the uncapped
+    singleton lift: its F side is lambda - lambda_i(t).  Empty for at
+    most two branches, whose one canonical subset is lifted anyway."""
+    if len(universe) <= 2:
+        return {}
+    series: dict[int, list[Fraction]] = {}
+    for i in universe:
+        seed = _seed(P, roots, (i,), universe)
+        run = _lift_core(seed, seed.order)
+        series[i] = [-fk[0] if fk else Fraction(0) for fk in run.f[1:]]
+    return series
+
+
 def _split_completely(
     P: BiPoly,
     indices: tuple[int, ...],
     roots: dict[int, Fraction],
+    series: dict[int, list[Fraction]],
     witnesses: list[SubsetSplit],
 ) -> list[tuple[BiPoly, tuple[int, ...]]]:
     if len(indices) == 1:
         return [(P, indices)]
     for subset in canonical_subsets(indices):
+        rows = (series[i] for i in subset.indices)
+        if series and any(sum(col) for col in zip(*rows)):
+            continue
         split = _attempt_split(P, indices, subset, roots)
         if split is None:
             continue
         F, G = split
         witnesses.append(subset)
         return _split_completely(
-            F, subset.indices, roots, witnesses
-        ) + _split_completely(G, subset.complement, roots, witnesses)
+            F, subset.indices, roots, series, witnesses
+        ) + _split_completely(G, subset.complement, roots, series, witnesses)
     return [(P, indices)]
 
 
@@ -455,8 +486,9 @@ def decide(p: JacobiPencil) -> Decision:
     P = continuant(p)
     indices = tuple(range(1, p.n + 1))
     roots = {i: -p.a[i - 1] for i in indices}
+    series = _branch_series(P, roots, indices)
     witnesses: list[SubsetSplit] = []
-    parts = _split_completely(P, indices, roots, witnesses)
+    parts = _split_completely(P, indices, roots, series, witnesses)
     factors_t = tuple(f for f, _ in parts)
     factor_indices = tuple(idx for _, idx in parts)
     status = REDUCIBLE if len(parts) > 1 else IRREDUCIBLE

@@ -182,10 +182,10 @@ def _track(
     current = start
     s = 0.0
     step = MAX_PARAM_STEP
+    sep = _min_separation(current)
     while s < 1.0:
         target = min(1.0, s + step)
         new_roots = solve(path(target))
-        sep = _min_separation(current)
         outcome = _match(current, new_roots, sep)
         if outcome is None:
             step /= 2.0
@@ -195,8 +195,9 @@ def _track(
                 )
             continue
         picks, max_move = outcome
-        current = new_roots[picks]
         ratios.append(math.inf if max_move == 0.0 else sep / max_move)
+        current = new_roots[picks]
+        sep = _min_separation(current)
         s = target
         if step < MAX_PARAM_STEP:
             step *= 2.0
@@ -480,8 +481,7 @@ def monodromy_group(p: JacobiPencil) -> MonodromyReport:
     orbits = _orbits(perms, p.n)
     if values:
         try:
-            start = _sorted_start(solve(0j + abs(w0)))
-            big = _circle(solve, 0j, abs(w0), 0.0, start, ratios)
+            big = _circle(solve, 0j, abs(w0), 0.0, base, ratios)
         except TrackingError as exc:
             raise TrackingError(f"big circle: {exc}") from exc
         # concatenation order: by departure angle from the base point,

@@ -1,5 +1,6 @@
 """Subset-indexed lifting at t = 0 and the complete factorization decision."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,15 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobispec import hensel
 from jacobispec.errors import UnsupportedPencilError
+from jacobispec.exactpoly import UniPoly
+from jacobispec.experiments import sample_d3_stratum, sample_generic
 from jacobispec.hensel import (
     SubsetSplit,
+    _attempt_split,
+    _branch_series,
     canonical_subsets,
     decide,
     lift_subset,
     obstruction_profile,
 )
-from jacobispec.pencil import curve_t, curve_w, pencil
+from jacobispec.pencil import continuant, curve_t, curve_w, pencil
 
 
 # ---------------------------------------------------------------- subsets
@@ -231,3 +237,114 @@ def test_decide_verdict_matches_profiles(a, data):
     if d.reducible:
         # the first terminating subset in decision order is the witness
         assert d.witnesses[0] == profiles_all_clear[0]
+
+
+# ---------------------------------------------------------- trace filter
+
+
+def _roots(p):
+    return {i: -p.a[i - 1] for i in range(1, p.n + 1)}
+
+
+def _filter_pencils():
+    """Seeded generic pencils, pencils with one and two zero couplings,
+    and constant-branch (d3 stratum) pencils."""
+    rng = random.Random(2024)
+    out = [sample_generic(rng, n, 9) for n in range(2, 8) for _ in range(2)]
+    for cuts in (1, 2):
+        for n in range(cuts + 2, 8):
+            q = sample_generic(rng, n, 9)
+            b = list(q.b)
+            for k in rng.sample(range(n - 1), cuts):
+                b[k] = 0
+            out.append(pencil(q.a, b))
+    out += [sample_d3_stratum(rng, 9) for _ in range(4)]
+    out += [pencil([0, 1, 2], [1, 1]), pencil([-1, 0, 4], [1, 2])]
+    return out
+
+
+def _passes_filter(series, subset):
+    """Every order's branch coefficients sum to zero over the subset."""
+    if not series:
+        return True
+    rows = [series[i] for i in subset.indices]
+    return all(sum(col) == 0 for col in zip(*rows))
+
+
+def _full_scan(P, indices, roots, series, witnesses):
+    """The decision without the trace filter: _attempt_split on every
+    canonical subset, checking that each one that splits passes the
+    filter; the first one in decision order is the witness."""
+    if len(indices) == 1:
+        return [(P, indices)]
+    hits = []
+    for subset in canonical_subsets(indices):
+        split = _attempt_split(P, indices, subset, roots)
+        if split is not None:
+            assert _passes_filter(series, subset), subset
+            hits.append((subset, split))
+    if not hits:
+        return [(P, indices)]
+    subset, (F, G) = hits[0]
+    witnesses.append(subset)
+    return _full_scan(F, subset.indices, roots, series, witnesses) + _full_scan(
+        G, subset.complement, roots, series, witnesses
+    )
+
+
+def test_trace_filter_keeps_every_split_and_the_decision():
+    for p in _filter_pencils():
+        P = continuant(p)
+        indices = tuple(range(1, p.n + 1))
+        series = _branch_series(P, _roots(p), indices)
+        assert len(series) == (p.n if p.n > 2 else 0)
+        witnesses = []
+        parts = _full_scan(P, indices, _roots(p), series, witnesses)
+        d = decide(p)
+        assert d.factors_t == tuple(f for f, _ in parts), p
+        assert d.factor_indices == tuple(idx for _, idx in parts), p
+        assert d.witnesses == tuple(witnesses), p
+
+
+def test_branch_series_are_roots_of_the_curve():
+    # P(lambda_i(t), t) = 0 modulo t^(D+2), by exact substitution
+    rng = random.Random(99)
+    pencils = [sample_generic(rng, n, 9) for n in (3, 3, 4, 5, 6)]
+    pencils += [
+        pencil([0, 1, 2], [0, 1]),
+        pencil([Fraction(1, 2), Fraction(-3, 7), 2], [Fraction(2, 3), 5]),
+        pencil([0, 1, 2], [1, 1]),
+    ]
+    t = UniPoly.variable()
+    for p in pencils:
+        P = continuant(p)
+        D = P.deg_outer
+        series = _branch_series(P, _roots(p), tuple(range(1, p.n + 1)))
+        assert sorted(series) == list(range(1, p.n + 1))
+        for i, coeffs in series.items():
+            assert len(coeffs) == D + 1
+            branch = UniPoly([-p.a[i - 1]] + coeffs)
+            value = UniPoly()
+            for j, layer in enumerate(P.layers):
+                value = value + layer(branch) * t**j
+            assert all(value.coefficient(k) == 0 for k in range(D + 2)), (p, i)
+
+
+def test_trace_filter_refutes_generic_pencils_without_lifting(monkeypatch):
+    lifted = []
+    real = hensel._attempt_split
+
+    def counting(P, indices, subset, roots):
+        lifted.append(subset)
+        return real(P, indices, subset, roots)
+
+    monkeypatch.setattr(hensel, "_attempt_split", counting)
+    rng = random.Random(31)
+    for n in range(3, 9):
+        assert decide(sample_generic(rng, n, 9)).status == "Irreducible"
+    # branch 2 has no t^1 term here; its t^2 term refutes {2}
+    assert decide(pencil([-1, 0, 1, 5], [1, 1, 1])).status == "Irreducible"
+    assert lifted == []
+    # a cut pencil lifts its witness
+    decide(pencil([0, 1, 2], [1, 0]))
+    assert [s.indices for s in lifted] == [(3,)]

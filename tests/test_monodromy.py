@@ -156,18 +156,20 @@ def test_tracking_error_names_the_failing_loop(monkeypatch):
     assert str(info.value).startswith(f"lasso 1 around {first}: ")
     assert isinstance(info.value.__cause__, TrackingError)
 
-    # the second sorted start is the big circle's, after every lasso
-    sorted_start = monodromy._sorted_start
-    starts = []
+    # one circle closes each lasso; the next one is the big circle
+    circle = monodromy._circle
+    circles = []
 
-    def counting(roots):
-        starts.append(roots)
-        return sorted_start(roots)
+    def counting(*args):
+        circles.append(args)
+        return circle(*args)
+
+    lassos = len(branch_points(p))
 
     def failing_on_big_circle(queries, candidates, sep):
-        return None if len(starts) > 1 else match(queries, candidates, sep)
+        return None if len(circles) > lassos else match(queries, candidates, sep)
 
-    monkeypatch.setattr(monodromy, "_sorted_start", counting)
+    monkeypatch.setattr(monodromy, "_circle", counting)
     monkeypatch.setattr(monodromy, "_match", failing_on_big_circle)
     with pytest.raises(TrackingError, match="^big circle: "):
         monodromy_group(p)
