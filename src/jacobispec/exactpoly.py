@@ -74,9 +74,9 @@ def _as_fraction(value) -> Fraction:
 #
 # Polynomials as plain lists of coefficients, ascending, with no trailing
 # zeros.  The coefficients are int in the fraction-free resultant,
-# Fraction in UniPoly and the Hensel lift, and UniPoly in BiPoly addition
-# and exact division in lambda.  Products and quotients start from the
-# zero of their inputs' type, so int lists stay int.
+# Fraction in UniPoly and the Hensel lift, and UniPoly in BiPoly
+# arithmetic and exact division in lambda.  Products and quotients start
+# from the zero of their inputs' type, so int lists stay int.
 
 
 def _trim(u: list) -> list:
@@ -502,17 +502,7 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._require_same_tag(other)
-        if self.is_zero or other.is_zero:
-            return BiPoly.zero(self.tag)
-        out = [UniPoly.zero()] * (len(self.layers) + len(other.layers) - 1)
-        for i, li in enumerate(self.layers):
-            if li.is_zero:
-                continue
-            for j, lj in enumerate(other.layers):
-                if lj.is_zero:
-                    continue
-                out[i + j] = out[i + j] + li * lj
-        return BiPoly(out, self.tag)
+        return BiPoly(_mul(self.layers, other.layers), self.tag)
 
     __rmul__ = __mul__
 

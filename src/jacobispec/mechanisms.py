@@ -37,6 +37,12 @@ and palindrome apply only when the whole component has the shape; a
 proper sub-interval with the shape does not factor the component curve
 (size 3 with diagonal (0, 0, 5) and unit couplings is already
 irreducible, so the scalar pair in front cannot split anything).
+
+``apply_all`` builds each interval's curve once and passes it up: a cut
+interval builds its own curve as the cut target and takes its two factors
+from the intervals below it.  Every target, and ``MechanismReport.curve``,
+is an independent ``continuant`` build, never the product of the factors
+it checks.
 """
 
 from __future__ import annotations
@@ -262,14 +268,13 @@ def _factor_unipoly_rational(u: UniPoly) -> list[tuple[UniPoly, int]]:
 
 def _homogenize(f: UniPoly, shift: Fraction) -> BiPoly:
     """Turn f(mu) into the w-form polynomial w^d * f((lambda + shift)/w)
-    where d = deg f."""
+    where d = deg f, by Horner in lambda + shift."""
     d = f.degree
     lam = BiPoly.linear_lambda(shift, W_FORM)
     acc = BiPoly.zero(W_FORM)
-    for k in range(d + 1):
-        c = f.coefficient(k)
-        if c:
-            acc = acc + (lam**k * c).mul_outer_power(d - k)
+    for k in range(d, -1, -1):
+        c = BiPoly.constant(f.coefficient(k), W_FORM)
+        acc = acc * lam + c.mul_outer_power(d - k)
     return acc
 
 
@@ -322,7 +327,8 @@ def apply_all(p: JacobiPencil) -> MechanismReport:
     applicable whole-component mechanism (scalar, else palindrome), and
     constant branches are peeled off every remaining factor by repeated
     exact division, so one diagonal value dividing with multiplicity is
-    extracted that many times."""
+    extracted that many times.  A cut certificate precedes the
+    certificates of its two sides."""
     certificates: list[Certificate] = []
     leaves: list[BiPoly] = []
 
@@ -359,49 +365,52 @@ def apply_all(p: JacobiPencil) -> MechanismReport:
             work = cofactor
         leaves.append(work)
 
-    def process_component(r: int, s: int) -> None:
+    def process_component(r: int, s: int) -> BiPoly:
         block = Block(p, r, s)
         if block.m == 1:
             leaves.append(BiPoly.linear_lambda(p.a[r - 1], W_FORM))
-            return
+            return leaves[-1]
         if len(set(block.diagonal())) == 1:
             cert = scalar_block_certificate(block)
             certificates.append(cert)
             leaves.extend(cert.factors)
-            return
+            return cert.target
         cert = detect_palindrome(block)
         if cert is not None:
             certificates.append(cert)
             for f in cert.factors:
                 peel_branches(f, block)
-            return
-        peel_branches(curve_w(block.as_pencil()), block)
+            return cert.target
+        curve = curve_w(block.as_pencil())
+        peel_branches(curve, block)
+        return curve
 
-    def process_interval(r: int, s: int) -> None:
+    def process_interval(r: int, s: int) -> BiPoly:
+        """Certify the interval [r, s] and return its curve."""
         cut = next(
             (i for i in range(r, s) if p.b[i - 1] == 0), None
         )
         if cut is None:
-            process_component(r, s)
-            return
-        left = curve_w(extract_block(p, r, cut))
-        right = curve_w(extract_block(p, cut + 1, s))
-        certificates.append(
+            return process_component(r, s)
+        slot = len(certificates)
+        left = process_interval(r, cut)
+        right = process_interval(cut + 1, s)
+        target = curve_w(extract_block(p, r, s))
+        certificates.insert(
+            slot,
             Certificate(
                 kind=CUT,
                 block=(r, s),
-                target=curve_w(extract_block(p, r, s)),
+                target=target,
                 factors=(left, right),
                 data={"coupling_index": cut},
-            )
+            ),
         )
-        process_interval(r, cut)
-        process_interval(cut + 1, s)
+        return target
 
-    process_interval(1, p.n)
     report = MechanismReport(
         pencil=p,
-        curve=curve_w(p),
+        curve=process_interval(1, p.n),
         certificates=certificates,
         residual_factors=leaves,
     )

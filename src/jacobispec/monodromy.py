@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NotSquarefreeError, TrackingError, UnsupportedPencilError
-from .exactpoly import BiPoly, discriminant_in_lambda, gcd_in_lambda
+from .exactpoly import BiPoly, discriminant_in_lambda
 from .pencil import JacobiPencil, curve_w
 
 RESIDUAL_TOL = 1e-12
@@ -136,35 +136,28 @@ def _sheet_solver(chi: BiPoly) -> Callable[[complex], np.ndarray]:
     return roots
 
 
-def _min_separation(points: np.ndarray) -> float:
-    n = len(points)
-    best = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(points[i] - points[j])
-            if d < best:
-                best = d
-    return best
+def _min_separation(points: Sequence[complex]) -> float:
+    """Smallest pairwise distance; infinity for fewer than two points.
+    ``np.hypot`` rounds like the scalar complex ``abs``; ``np.abs`` of a
+    complex array may differ from it in the last bit."""
+    z = np.asarray(points)
+    diff = z[None, :] - z[:, None]
+    dists = np.hypot(diff.real, diff.imag)
+    np.fill_diagonal(dists, math.inf)
+    return dists.min(initial=math.inf)
 
 
 def _match(
     queries: np.ndarray, candidates: np.ndarray, sep: float
 ) -> tuple[list[int], float] | None:
-    """Nearest candidate index for each query, plus the largest move.
-    None when two queries pick the same candidate or a move reaches
-    sep / SEPARATION_FACTOR."""
-    taken = [False] * len(candidates)
-    picks = []
-    max_move = 0.0
-    for q in queries:
-        dists = np.abs(candidates - q)
-        j = int(np.argmin(dists))
-        move = float(dists[j])
-        if taken[j] or move * SEPARATION_FACTOR >= sep:
-            return None
-        taken[j] = True
-        picks.append(j)
-        max_move = max(max_move, move)
+    """Nearest candidate index for each query (the first one on a tie),
+    plus the largest move.  None when two queries pick the same
+    candidate or a move reaches sep / SEPARATION_FACTOR."""
+    dists = np.abs(candidates[None, :] - queries[:, None])
+    picks = dists.argmin(axis=1).tolist()
+    max_move = float(dists.min(axis=1).max())
+    if len(set(picks)) < len(picks) or max_move * SEPARATION_FACTOR >= sep:
+        return None
     return picks, max_move
 
 
@@ -233,23 +226,23 @@ def branch_points(p: JacobiPencil) -> list[ComplexApprox]:
     """Numeric roots of the exact lambda-discriminant in w.
 
     The discriminant comes from exact arithmetic; only root finding is
-    numeric.  Roots are found on the exact squarefree part (repeated
-    discriminant roots carry no extra branch points) and polished by an
-    Aberth pass.  The squarefree part has distinct roots, so two polished
-    roots closer than 1e-8 times the root scale are a numeric failure,
-    never one branch point: TrackingError is raised instead of merging
-    them."""
+    numeric.  The curve is monic in lambda, so its discriminant vanishes
+    identically exactly when it has a repeated lambda-factor over Q(w);
+    that is the one squarefree test, and it raises NotSquarefreeError.
+    Roots are found on the exact squarefree part of the discriminant
+    (repeated discriminant roots carry no extra branch points) and
+    polished by an Aberth pass.  The squarefree part has distinct roots,
+    so two polished roots closer than 1e-8 times the root scale are a
+    numeric failure, never one branch point: TrackingError is raised
+    instead of merging them."""
     if p.n < 2:
         raise UnsupportedPencilError("monodromy needs at least two sheets")
-    chi = curve_w(p)
-    if gcd_in_lambda(chi, chi.derivative_lambda()).deg_lambda > 0:
+    disc = discriminant_in_lambda(curve_w(p))
+    if disc.is_zero:
         raise NotSquarefreeError(
             "curve has a repeated lambda-factor; factor first, then take "
             "monodromy of the squarefree parts"
         )
-    disc = discriminant_in_lambda(chi)
-    if disc.is_zero:
-        raise NotSquarefreeError("identically zero discriminant")
     reduced = disc.squarefree_part()
     if reduced.degree == 0:
         return []

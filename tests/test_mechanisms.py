@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from jacobispec import mechanisms
+from jacobispec.errors import JacobiSpecError
 from jacobispec.exactpoly import BiPoly, UniPoly
 from jacobispec.mechanisms import (
     Certificate,
@@ -193,3 +195,65 @@ def test_report_curve_is_w_form():
     report = apply_all(pencil([0, 1], [1]))
     assert report.curve == curve_w(pencil([0, 1], [1]))
     assert report.curve.tag == "w"
+
+
+@pytest.mark.parametrize(
+    "a, b, builds, steps",
+    [
+        ([5, 7, 5], [3, 3], 1, [("palindrome", (1, 3))]),
+        ([3, 3, 3], [1, 2], 1, [("scalar-block", (1, 3))]),
+        ([0, 1, 5], [1, 1], 1, []),
+        # intervals [1,6], [1,2], [3,6], [3,4], [5,6]
+        ([0, 1, 2, 3, 4, 5], [1, 0, 2, 0, 3], 5, [("cut", (1, 6)), ("cut", (3, 6))]),
+        (
+            [2, 2, 5, 7, 5, 1, 0, 1],
+            [1, 0, 3, 3, 0, 2, 2],
+            5,
+            [
+                ("cut", (1, 8)),
+                ("scalar-block", (1, 2)),
+                ("cut", (3, 8)),
+                ("palindrome", (3, 5)),
+                ("palindrome", (6, 8)),
+            ],
+        ),
+        # size-1 intervals are linear leaves and build no curve
+        (
+            [0, 1, 0, 4, 6],
+            [1, 2, 0, 0],
+            3,
+            [("cut", (1, 5)), ("constant-branch", (1, 3)), ("cut", (4, 5))],
+        ),
+    ],
+)
+def test_each_interval_curve_is_built_once(monkeypatch, a, b, builds, steps):
+    built = []
+    build = mechanisms.curve_w
+
+    def counting(q):
+        built.append(q)
+        return build(q)
+
+    monkeypatch.setattr(mechanisms, "curve_w", counting)
+    report = apply_all(pencil(a, b))
+    assert len(built) == builds
+    # a cut certificate comes before the certificates of its two sides
+    assert [(c.kind, c.block) for c in report.certificates] == steps
+    assert report.curve == curve_w(pencil(a, b))
+    assert report.product_check()
+
+
+def test_report_curve_is_an_independent_build(monkeypatch):
+    # a certificate whose factors change after verification must not slip
+    # through: the report curve is built from the pencil, not multiplied
+    # from the leaves
+    honest = mechanisms.detect_palindrome
+
+    def lying(block):
+        cert = honest(block)
+        cert.factors = (cert.factors[0], cert.factors[0])
+        return cert
+
+    monkeypatch.setattr(mechanisms, "detect_palindrome", lying)
+    with pytest.raises(JacobiSpecError, match="final product check"):
+        apply_all(pencil([0, 1, 1, 0], [1, 2, 1]))

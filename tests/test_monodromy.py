@@ -108,7 +108,7 @@ def test_palindromic_orbit_degrees():
 def test_unsupported_inputs():
     with pytest.raises(UnsupportedPencilError):
         monodromy_group(pencil([2], []))
-    with pytest.raises(NotSquarefreeError):
+    with pytest.raises(NotSquarefreeError, match="repeated lambda-factor"):
         # (lambda + 3)^2 has no squarefree sheet structure to track
         monodromy_group(pencil([3, 3], [0]))
 
@@ -208,6 +208,55 @@ def test_matcher_refuses_collisions_and_long_moves():
     far = np.array([0.0, 10.0, 20.0 + 0j])
     assert monodromy._match(far, np.array([0.0, 10.0, 21.0 + 0j]), 3.0) is None
     assert monodromy._match(far, np.array([0.0, 10.0, 20.99 + 0j]), 3.0) is not None
+    # an exact tie goes to the first candidate, even when that collides
+    picks, move = monodromy._match(
+        np.array([0.0, 4.0 + 0j]), np.array([1.0, -1.0, 3.0, 5.0 + 0j]), 10.0
+    )
+    assert picks == [0, 2] and all(type(j) is int for j in picks)
+    assert move == 1.0
+    assert monodromy._match(np.array([0.0, 2.0 + 0j]), np.array([1.0, 1.0 + 0j]), 10.0) is None
+    # separation: smallest pairwise distance, of a list or an array
+    assert monodromy._min_separation([0j, 3 + 4j, 1 + 0j]) == 1.0
+    assert monodromy._min_separation(np.array([2j, 3 + 6j])) == 5.0
+    assert monodromy._min_separation([1 + 1j]) == math.inf
+
+
+def _loop_match(queries, candidates, sep):
+    # reference: one query at a time, refusing at the first collision
+    taken = [False] * len(candidates)
+    picks, max_move = [], 0.0
+    for q in queries:
+        dists = np.abs(candidates - q)
+        j = int(np.argmin(dists))
+        move = float(dists[j])
+        if taken[j] or move * monodromy.SEPARATION_FACTOR >= sep:
+            return None
+        taken[j] = True
+        picks.append(j)
+        max_move = max(max_move, move)
+    return picks, max_move
+
+
+def test_matcher_agrees_with_the_pairwise_loop():
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for trial in range(400):
+        n = int(rng.integers(1, 8))
+        points = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if trial % 3 == 0:
+            points = np.round(points * 2) / 2  # exact ties and duplicates
+        moved = points + rng.normal(scale=10 ** rng.uniform(-3, 0), size=n)
+        candidates = rng.permutation(moved)
+        sep = min(
+            (abs(points[i] - points[j]) for i in range(n) for j in range(i)),
+            default=math.inf,
+        )
+        assert monodromy._min_separation(points) == sep
+        assert monodromy._min_separation(points.tolist()) == sep
+        got = monodromy._match(points, candidates, sep)
+        assert got == _loop_match(points, candidates, sep)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_orbits_agree_with_exact_decision():
