@@ -222,7 +222,7 @@ def _read_input(path: str | None) -> dict:
         else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read input: {exc}") from exc
     try:
         return json.loads(text)

@@ -69,6 +69,28 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot coerce {type(value).__name__} to Fraction")
 
 
+def _var_power(var: str, k: int) -> list[str]:
+    return [] if k == 0 else [var if k == 1 else f"{var}^{k}"]
+
+
+def _render_terms(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
+    """Signed sum of (coefficient, variable powers) terms, zeros skipped;
+    a unit coefficient is written only on a constant term."""
+    parts: list[str] = []
+    for c, powers in terms:
+        if c == 0:
+            continue
+        mag = -c if c < 0 else c
+        body = "*".join(
+            powers if powers and mag == 1 else [format_rational(mag)] + powers
+        )
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
 # ---------------------------------------------------------------------------
 # coefficient-list kernel
 #
@@ -360,24 +382,9 @@ class UniPoly:
         return cls(tuple(parse_rational(s) for s in data))
 
     def render(self, var: str = "x") -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = -c if c < 0 else c
-            if k == 0:
-                body = format_rational(mag)
-            else:
-                vp = var if k == 1 else f"{var}^{k}"
-                body = vp if mag == 1 else f"{format_rational(mag)}*{vp}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render_terms(
+            (self.coeffs[k], _var_power(var, k)) for k in range(self.degree, -1, -1)
+        )
 
     def __str__(self) -> str:
         return self.render()
@@ -570,31 +577,11 @@ class BiPoly:
         return cls(tuple(UniPoly.from_strings(row) for row in data), tag)
 
     def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for i in range(self.deg_lambda, -1, -1):
-            col = UniPoly(tuple(l.coefficient(i) for l in self.layers))
-            for j in range(len(col.coeffs)):
-                c = col.coefficient(j)
-                if c == 0:
-                    continue
-                mag = -c if c < 0 else c
-                factors = []
-                if i:
-                    factors.append(
-                        LAMBDA_SYMBOL if i == 1 else f"{LAMBDA_SYMBOL}^{i}"
-                    )
-                if j:
-                    factors.append(self.tag if j == 1 else f"{self.tag}^{j}")
-                if not factors or mag != 1:
-                    factors.insert(0, format_rational(mag))
-                body = "*".join(factors)
-                if not parts:
-                    parts.append(body if c > 0 else f"-{body}")
-                else:
-                    parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render_terms(
+            (l.coefficient(i), _var_power(LAMBDA_SYMBOL, i) + _var_power(self.tag, j))
+            for i in range(self.deg_lambda, -1, -1)
+            for j, l in enumerate(self.layers)
+        )
 
     def __str__(self) -> str:
         return self.render()

@@ -25,7 +25,7 @@ subset scan sees it.
 Three exact cutoffs keep the scan finite and fast:
 
 * Working order.  A true factor has t-degree at most D = deg_t P, so
-  lifting to order D + 1 and truncating recovers it exactly; the final
+  lifting to order D and truncating recovers it exactly; the final
   acceptance gate is exact polynomial multiplication, nothing numeric.
 
 * Degree bound per side.  Assign weight i + 2j to the monomial
@@ -35,16 +35,18 @@ Three exact cutoffs keep the scan finite and fast:
   therefore has top weight exactly deg_lambda F, which caps its t-degree
   at floor(deg_lambda F / 2).  The formal lift is unique, so if the
   subset carries a true factorization, every correction past a side's
-  cap vanishes; the beyond-cap content of the order-k correction is the
-  order-k obstruction, and the obstruction sequence is identically zero
-  exactly when the subset terminates.  The decision path short-circuits
-  at the first nonzero obstruction; the diagnostic entry point runs
-  every order and reports the whole profile.
+  cap vanishes.  The decision therefore lifts each candidate subset
+  only to the larger of its two caps, truncates the smaller side at
+  its own cap, and accepts the pair iff it multiplies back to P
+  exactly.  The diagnostic entry point lifts to order D + 1 and reports
+  the beyond-cap content of each order-k correction as the order-k
+  obstruction; the obstruction sequence is identically zero exactly
+  when the subset terminates.
 
 * Trace filter.  A monic factor F with branch set S has lambda^(|S|-1)
   coefficient -sum_{i in S} lambda_i(t), and the weight bound forces it
   to be constant in t.  So sum_{i in S} c_{i,k} = 0 for every k >= 1,
-  where c_{i,k} is the t^k coefficient of branch i.  For n > 2 the
+  where c_{i,k} is the t^k coefficient of branch i.  For n >= 2 the
   decision reads c_{i,k} for k = 1..D+1 off the n singleton lifts once,
   and skips the lift of every subset whose sums are not all zero; such a
   subset cannot terminate, so the witnesses and factors are those of the
@@ -114,13 +116,7 @@ class SubsetSplit:
 
     @property
     def is_canonical(self) -> bool:
-        m = len(self.universe)
-        k = len(self.indices)
-        if 2 * k < m:
-            return True
-        if 2 * k > m:
-            return False
-        return self.universe[0] in self.indices
+        return _is_canonical(self.indices, self.universe)
 
     @classmethod
     def canonical(
@@ -129,12 +125,16 @@ class SubsetSplit:
         """Build the canonical representative, complementing if needed."""
         uni = tuple(sorted(universe))
         idx = tuple(sorted(indices))
-        chosen = set(idx)
-        k, m = len(idx), len(uni)
-        flip = 2 * k > m or (2 * k == m and uni[0] not in chosen)
-        if flip:
-            idx = tuple(i for i in uni if i not in chosen)
+        if not _is_canonical(idx, uni):
+            idx = tuple(i for i in uni if i not in idx)
         return cls(idx, uni)
+
+
+def _is_canonical(indices: tuple[int, ...], universe: tuple[int, ...]) -> bool:
+    """The smaller side, or of two halves the one holding the smallest
+    element of the sorted universe."""
+    k, m = len(indices), len(universe)
+    return 2 * k < m or (2 * k == m and universe[0] in indices)
 
 
 def canonical_subsets(universe: Sequence[int]) -> Iterator[SubsetSplit]:
@@ -277,45 +277,21 @@ def _seed(
     return _Seed(layers, subset, F0, G0, U, V, cap_f, cap_g, D + 1)
 
 
-class _LiftRun:
-    """Result of one order-by-order lift: correction layers for both
-    sides, the pre-correction residuals d_k, and the obstructions o_k
-    (the part of each correction a true factorization within the degree
-    caps could not carry)."""
-
-    __slots__ = ("f", "g", "residuals", "obstructions", "aborted_at")
-
-    def __init__(self, f, g, residuals, obstructions, aborted_at):
-        self.f = f
-        self.g = g
-        self.residuals = residuals
-        self.obstructions = obstructions
-        self.aborted_at = aborted_at
-
-
 def _lift_core(
-    seed: _Seed, order: int, capped: bool = False, abort_on_obstruction: bool = False
-) -> _LiftRun:
-    """Order-by-order lift of the unique formal factorization.
+    seed: _Seed, order: int
+) -> tuple[list[list[Fraction]], list[list[Fraction]], list[list[Fraction]]]:
+    """Order-by-order lift of the unique formal factorization, returned
+    as the layers f and g of both sides through t^order and the
+    pre-correction residuals d_k.
 
     The order-k residual is d = (P - F*G)_k with corrections through
     order k-1 in place.  The correction solves fk*G0 + gk*F0 = d with
     deg fk < deg F0: fk is V*d reduced modulo F0, and gk then comes out
-    of an exact division (its exactness is an internal invariant).
-
-    With the seed's degree caps (``capped``), the beyond-cap content
-    fk*G0 (for k > cap_f) plus gk*F0 (for k > cap_g) is recorded as the
-    order-k obstruction: a true polynomial factor pair fits inside the
-    caps, so any of this content refutes the subset.  The obstruction
-    sequence is identically zero exactly when the subset terminates; the
-    caps satisfy cap_f <= cap_g."""
+    of an exact division (its exactness is an internal invariant)."""
     p_layers, F0, G0, V = seed.layers, seed.F0, seed.G0, seed.V
-    cap_f, cap_g = (seed.cap_f, seed.cap_g) if capped else (None, None)
     f: list[list[Fraction]] = [F0]
     g: list[list[Fraction]] = [G0]
     residuals: list[list[Fraction]] = []
-    obstructions: list[list[Fraction]] = []
-    aborted_at = None
     for k in range(1, order + 1):
         d = list(p_layers[k]) if k < len(p_layers) else []
         for j in range(1, k):
@@ -329,18 +305,9 @@ def _lift_core(
             gk, leftover = _divmod(_sub(d, _mul(fk, G0)), F0)
             if leftover:
                 raise ArithmeticError("lift correction failed to divide out")
-        blocked: list[Fraction] = []
-        if cap_f is not None and k > cap_f and fk:
-            blocked = _add(blocked, _mul(fk, G0))
-        if cap_g is not None and k > cap_g and gk:
-            blocked = _add(blocked, _mul(gk, F0))
-        obstructions.append(blocked)
-        if abort_on_obstruction and blocked:
-            aborted_at = k
-            break
         f.append(fk)
         g.append(gk)
-    return _LiftRun(f, g, residuals, obstructions, aborted_at)
+    return f, g, residuals
 
 
 def _as_bipoly(layers: list[list[Fraction]]) -> BiPoly:
@@ -373,21 +340,21 @@ def lift_subset(
     ``roots[i-1]`` is the lambda-root at t=0 carrying index i (for a
     pencil, -a_i).  The subset picks which roots go to the F side.  No
     degree caps apply here: all corrections up to ``target_order`` are
-    computed and kept, and the per-order obstructions are recorded.
+    computed and kept, and the per-order residuals are recorded.
     """
     if target_order < 1:
         raise ValueError("target_order must be >= 1")
     values = _validate_seed(P, roots)
     universe = tuple(range(1, len(values) + 1))
     seed = _seed(P, dict(zip(universe, values)), subset, universe)
-    run = _lift_core(seed, target_order)
+    f, g, residuals = _lift_core(seed, target_order)
     return LiftState(
         subset=seed.subset,
-        F=_as_bipoly(run.f),
-        G=_as_bipoly(run.g),
+        F=_as_bipoly(f),
+        G=_as_bipoly(g),
         bezout=(UniPoly(seed.U), UniPoly(seed.V)),
         order=target_order,
-        residuals=tuple(UniPoly(d) for d in run.residuals),
+        residuals=tuple(UniPoly(d) for d in residuals),
     )
 
 
@@ -401,8 +368,9 @@ def obstruction_profile(
     correction (fk*G0 past the F cap plus gk*F0 past the G cap): the
     part of the residual no factorization within the weighted-degree
     caps could carry.  The profile is identically zero exactly when the
-    subset terminates; the decision path stops at the first nonzero
-    entry, while this diagnostic runs all orders."""
+    subset terminates.  It is computed from the plain formal lift to
+    order D+1 and serves diagnostics only; the decision accepts a split
+    by exact multiplication instead."""
     if not p.distinct_diagonal:
         raise UnsupportedPencilError(
             "repeated diagonal entries; lifting diagnostics unavailable"
@@ -410,40 +378,49 @@ def obstruction_profile(
     P = continuant(p)
     universe = tuple(range(1, p.n + 1))
     seed = _seed(P, {i: -p.a[i - 1] for i in universe}, subset, universe)
-    run = _lift_core(seed, seed.order, capped=True)
-    return [UniPoly(o) for o in run.obstructions]
+    f, g, _ = _lift_core(seed, seed.order)
+    profile = []
+    for k in range(1, seed.order + 1):
+        o: list[Fraction] = []
+        if k > seed.cap_f:
+            o = _add(o, _mul(f[k], seed.G0))
+        if k > seed.cap_g:
+            o = _add(o, _mul(g[k], seed.F0))
+        profile.append(UniPoly(o))
+    return profile
 
 
 def _attempt_split(
     P: BiPoly, indices: tuple[int, ...], subset: SubsetSplit, roots: dict[int, Fraction]
 ) -> tuple[BiPoly, BiPoly] | None:
-    """Decision-mode lift of one subset: degree-capped, with the exact
-    product of the truncated factors as the acceptance gate."""
+    """The split of P that ``subset`` seeds, or None if it has none.
+
+    Lifts to the larger cap, cap_g, truncates F at cap_f and accepts by
+    exact multiplication.  If F*G == P, this is a factorization with
+    the subset's seeds, and the formal lift is unique, so it is the
+    subset's split.  If the subset splits, both factors fit within the
+    caps, so the truncated lift is exactly those factors."""
     seed = _seed(P, roots, subset, indices)
-    run = _lift_core(seed, seed.order, capped=True, abort_on_obstruction=True)
-    if run.aborted_at is not None:
-        return None
-    F = _as_bipoly(run.f[: seed.cap_f + 1])
-    G = _as_bipoly(run.g[: seed.cap_g + 1])
-    if F * G == P:
-        return F, G
-    return None
+    f, g, _ = _lift_core(seed, seed.cap_g)
+    F, G = _as_bipoly(f[: seed.cap_f + 1]), _as_bipoly(g)
+    return (F, G) if F * G == P else None
 
 
 def _branch_series(
     P: BiPoly, roots: dict[int, Fraction], universe: tuple[int, ...]
 ) -> dict[int, list[Fraction]]:
     """Coefficients of t^1 .. t^(D+1) of every branch lambda_i(t), the
-    root of P that equals roots[i] at t = 0, read off the uncapped
-    singleton lift: its F side is lambda - lambda_i(t).  Empty for at
-    most two branches, whose one canonical subset is lifted anyway."""
-    if len(universe) <= 2:
+    root of P that equals roots[i] at t = 0, read off the singleton lift
+    of i: the side seeded by lambda - roots[i] is lambda - lambda_i(t).
+    Empty for a single branch, which has no split to filter."""
+    if len(universe) < 2:
         return {}
     series: dict[int, list[Fraction]] = {}
     for i in universe:
         seed = _seed(P, roots, (i,), universe)
-        run = _lift_core(seed, seed.order)
-        series[i] = [-fk[0] if fk else Fraction(0) for fk in run.f[1:]]
+        f, g, _ = _lift_core(seed, seed.order)
+        side = f if seed.subset.indices == (i,) else g
+        series[i] = [-c[0] if c else Fraction(0) for c in side[1:]]
     return series
 
 
@@ -458,7 +435,7 @@ def _split_completely(
         return [(P, indices)]
     for subset in canonical_subsets(indices):
         rows = (series[i] for i in subset.indices)
-        if series and any(sum(col) for col in zip(*rows)):
+        if any(sum(col) for col in zip(*rows)):
             continue
         split = _attempt_split(P, indices, subset, roots)
         if split is None:

@@ -304,25 +304,25 @@ def _cross(a: complex, b: complex) -> float:
 
 def _route(
     start: complex, end: complex, obstacles: list[tuple[complex, float]]
-) -> list[tuple]:
-    """Piecewise path from start to end dodging obstacle disks.
+) -> tuple[list[Callable[[float], complex]], complex]:
+    """Piecewise path from start toward end dodging obstacle disks.
 
-    Returns ("seg", a, b) and ("arc", center, r, phase0, sweep)
-    descriptors.  Straight where possible; where the segment would
-    enter a disk, an arc along the disk boundary replaces the chord, on
-    the side the straight segment already favors (the side away from
-    the center).  When the segment passes exactly through a center the
-    arc goes right of the travel direction, which for the leftward runs
-    from the real base point means above the obstacle.  Disk radii are
-    0.4 times each point's distance to its nearest distinct neighbor,
-    which keeps disks disjoint and clear of loop circles and of the
-    base point."""
-    pieces: list[tuple] = []
+    Returns the paths of the pieces before the final straight run to
+    end, and the point where that run starts.  Straight where possible;
+    where the segment would enter a disk, an arc along the disk boundary
+    replaces the chord, on the side the straight segment already favors
+    (the side away from the center).  When the segment passes exactly
+    through a center the arc goes right of the travel direction, which
+    for the leftward runs from the real base point means above the
+    obstacle.  Disk radii are 0.4 times each point's distance to its
+    nearest distinct neighbor, which keeps disks disjoint and clear of
+    loop circles and of the base point."""
+    paths: list[Callable[[float], complex]] = []
     cur = start
     direction = end - start
     length = abs(direction)
     if length == 0:
-        return pieces
+        return paths, cur
     unit = direction / length
     remaining = sorted(obstacles, key=lambda ob: ((ob[0] - start) / unit).real)
     for center, r in remaining:
@@ -341,19 +341,13 @@ def _route(
         mid_ccw = center + r * cmath.exp(1j * (ph_in + sweep_ccw / 2.0))
         ccw_side = 1.0 if _cross(unit, mid_ccw - cur) > 0 else -1.0
         sweep = sweep_ccw if ccw_side == side else sweep_ccw - 2.0 * math.pi
-        pieces.append(("seg", cur, z_in))
-        pieces.append(("arc", center, r, ph_in, sweep))
+        paths.append(lambda s, a=cur, b=z_in: a + s * (b - a))
+        paths.append(
+            lambda s, c=center, r=r, ph0=ph_in, sw=sweep: c
+            + r * cmath.exp(1j * (ph0 + s * sw))
+        )
         cur = z_out
-    pieces.append(("seg", cur, end))
-    return pieces
-
-
-def _piece_path(piece: tuple) -> Callable[[float], complex]:
-    if piece[0] == "seg":
-        _, a, b = piece
-        return lambda s: a + s * (b - a)
-    _, center, r, ph0, sweep = piece
-    return lambda s: center + r * cmath.exp(1j * (ph0 + s * sweep))
+    return paths, cur
 
 
 def _lasso(
@@ -367,24 +361,22 @@ def _lasso(
 ) -> tuple[int, ...]:
     direction = (w0 - bp) / abs(w0 - bp)
     entry = bp + radius * direction
-    route = _route(w0, entry, obstacles)
+    paths, seg_from = _route(w0, entry, obstacles)
     # The final straight run heads radially into the target; uniform
     # steps cannot resolve a loop radius far smaller than the run, so
     # reparameterize it geometrically: equal parameter steps then halve
     # the remaining distance to the branch point, matching the
     # square-root stiffness of the colliding sheets.
-    closures = [_piece_path(piece) for piece in route[:-1]]
-    _, seg_from, _ = route[-1]
     far = abs(seg_from - bp)
     if far > radius:
         ratio = radius / far
-        closures.append(
+        paths.append(
             lambda s, a=seg_from, c=bp, rho=ratio: c + (a - c) * rho**s
         )
     else:
-        closures.append(_piece_path(route[-1]))
+        paths.append(lambda s, a=seg_from, b=entry: a + s * (b - a))
     at_entry = base
-    for path in closures:
+    for path in paths:
         at_entry = _track(solve, path, at_entry, ratios)
     return _circle(solve, bp, radius, cmath.phase(entry - bp), at_entry, ratios)
 

@@ -60,6 +60,11 @@ def test_input_output_files(tmp_path):
     assert out == ""
     doc = json.loads(dst.read_text())
     assert doc["result"]["curve"] == [["0", "1", "1"], ["-1"]]
+    # a file that is not UTF-8 is a document error, not a crash
+    src.write_bytes(b"\xff\xfe" + PENCIL_DOC.encode("utf-16-le"))
+    code, _, err = run(["--input", str(src), "decide"])
+    assert code == cli.EXIT_VALIDATION
+    assert "cannot read input" in err
 
 
 def test_decide_document_and_reverification():

@@ -26,7 +26,7 @@ from jacobispec.exactpoly import (
     to_t_form,
     to_w_form,
 )
-from jacobispec.pencil import continuant, curve_w, pencil
+from jacobispec.pencil import continuant, curve_t, curve_w, pencil
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -267,6 +267,15 @@ def test_discriminant_requires_monic_quadratic_or_more():
 
 def test_unipoly_render():
     assert UniPoly([1, 0, -2]).render("x") in ("-2x^2 + 1", "-2*x^2 + 1")
+
+
+def test_bipoly_render():
+    assert curve_t(pencil([-1, 0, 4], [1, 2])).render() == (
+        "λ^3 + 3*λ^2 - 4*λ - 5*λ*t"
+    )
+    assert curve_w(pencil([0, 1, 1, 0], [1, 2, 1])).render() == (
+        "λ^4 + 2*λ^3 + λ^2 - 6*λ^2*w^2 - 2*λ*w^2 + w^4"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,9 @@ def test_obstruction_zero_iff_termination():
     # and a subset with no factorization does not
     prof2 = obstruction_profile(p, (1,))
     assert any(not q.is_zero for q in prof2)
+    # a middle cut splits two halves, each with a t-term at its cap
+    cut = pencil([0, 1, 2, 3], [1, 0, 1])
+    assert all(q.is_zero for q in obstruction_profile(cut, (1, 2)))
 
 
 # ---------------------------------------------------------------- decide
@@ -227,11 +230,15 @@ def test_decide_verdict_matches_profiles(a, data):
     )
     p = pencil(a, b)
     d = decide(p)
-    profiles_all_clear = [
-        s
-        for s in canonical_subsets(range(1, len(a) + 1))
-        if all(q.is_zero for q in obstruction_profile(p, s))
-    ]
+    P = continuant(p)
+    indices = tuple(range(1, len(a) + 1))
+    profiles_all_clear = []
+    for s in canonical_subsets(indices):
+        clear = all(q.is_zero for q in obstruction_profile(p, s))
+        # the multiplication gate accepts exactly the all-zero profiles
+        assert (_attempt_split(P, indices, s, _roots(p)) is not None) == clear, s
+        if clear:
+            profiles_all_clear.append(s)
     # some subset terminates iff the decision is Reducible
     assert bool(profiles_all_clear) == d.reducible
     if d.reducible:
@@ -297,7 +304,7 @@ def test_trace_filter_keeps_every_split_and_the_decision():
         P = continuant(p)
         indices = tuple(range(1, p.n + 1))
         series = _branch_series(P, _roots(p), indices)
-        assert len(series) == (p.n if p.n > 2 else 0)
+        assert len(series) == p.n
         witnesses = []
         parts = _full_scan(P, indices, _roots(p), series, witnesses)
         d = decide(p)
@@ -311,6 +318,8 @@ def test_branch_series_are_roots_of_the_curve():
     rng = random.Random(99)
     pencils = [sample_generic(rng, n, 9) for n in (3, 3, 4, 5, 6)]
     pencils += [
+        pencil([0, 1], [1]),
+        pencil([3, -2], [2]),
         pencil([0, 1, 2], [0, 1]),
         pencil([Fraction(1, 2), Fraction(-3, 7), 2], [Fraction(2, 3), 5]),
         pencil([0, 1, 2], [1, 1]),
