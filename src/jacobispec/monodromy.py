@@ -18,29 +18,41 @@ w-axis and the ascending real order at w0 is the ascending order of the
 -a_i.  For other pencils the sorted labeling is simply a fixed
 convention.
 
-Tracking.  Sheet positions at a point w come from one Horner pass over a
-table of the exact w-form coefficients (one row per power of w, one
-column per power of lambda), giving the lambda-coefficients of
-chi(., w), followed by ``numpy.roots``.  One nearest-neighbour matcher
-serves both the tracking steps and the loop ends.  A step is certified
-when the largest root movement is below a third of the smallest
-pairwise root separation before the step; the triangle inequality then
-forces the assignment to be the unique correct bijection.  Failing
-steps bisect down to a minimum parameter step, below which
-TrackingError propagates.  A loop end is matched back to the positions
-it started from under the same rule.
+Tracking.  The curve is even in w, so sheet positions at a point w come
+from one Horner pass in t = w^2 over a table of the exact t-form
+coefficients (one row per power of t, one column per power of lambda),
+giving the lambda-coefficients of chi(., w), followed by
+``numpy.roots``.  One nearest-neighbour matcher serves both the
+tracking steps and the loop ends.  A step is certified when the largest
+root movement is below a third of the smallest pairwise root separation
+before the step; the triangle inequality then forces the assignment to
+be the unique correct bijection.  Failing steps bisect; a failing step
+that moves w by less than a fixed fraction (MIN_STEP_FRACTION) of the
+smallest loop or obstacle radius on its way raises TrackingError.  A
+loop end is matched back to the positions it started from under the
+same rule.
 
 Loops.  Each branch point gets a lasso: a straight segment from w0 to
 the boundary of a small circle, the circle counterclockwise, and back.
 Because the outgoing segment transports the base labels to the circle,
 the permutation read off at the circle is already expressed in base
 labels and the return segment cancels; it is never tracked.
-Compositions are left-to-right: (p then q)[i] = q[p[i]].  As a global
-consistency check the report compares the big counterclockwise circle
-through w0 against the product of all lasso permutations ordered by the
-angle of each branch point as seen from the base point, descending (the
-order in which the outgoing segments leave w0, counterclockwise from
-the positive real axis).
+Compositions are left-to-right: (p then q)[i] = q[p[i]].
+
+Checks.  The pencil is rational, so chi(conj l, conj w) = conj chi(l, w)
+(Schwarz reflection): the sheets over conj(w) are the conjugates of
+those over w, and over real w they are real, so conjugation fixes the
+sorted labels at w0.  Hence the big circle through w0, its upper arc
+followed by that arc's mirror image reversed, is the identity and is
+never tracked; ``consistent`` says whether the product of all lasso
+permutations, ordered by the angle of each branch point seen from w0,
+descending (the order in which the outgoing segments leave w0,
+counterclockwise from the positive real axis), is the identity.  And
+the lasso to conj(bp) mirrors the lasso to bp with its circle turned
+clockwise, so the two permutations are mutually inverse; a pair that is
+not raises TrackingError naming both lassos.  Where the tie rule of
+_route picks a side, the two routes are not mirror images and the pair
+is left to the product check.
 """
 
 from __future__ import annotations
@@ -53,12 +65,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NotSquarefreeError, TrackingError, UnsupportedPencilError
-from .exactpoly import BiPoly, discriminant_in_lambda
+from .exactpoly import BiPoly, discriminant_in_lambda, to_t_form
 from .pencil import JacobiPencil, curve_w
 
 RESIDUAL_TOL = 1e-12
 CLUSTER_TOL = 1e-8
-MIN_PARAM_STEP = 1e-6
+MIN_STEP_FRACTION = 1e-3
 MAX_PARAM_STEP = 1.0 / 16.0
 CIRCLE_MARGIN = 0.1
 SEPARATION_FACTOR = 3.0
@@ -95,9 +107,11 @@ class MonodromyReport:
     label a sheet starting as i carries after the loop, one tuple per
     branch point, aligned with ``branch_points``.  ``certified_step`` is
     the smallest separation-to-movement ratio accepted during tracking
-    (certification requires > 3; infinity when nothing was tracked).
-    ``consistent`` records the big-circle consistency check described in
-    the module docstring."""
+    (certification requires > 3; infinity when nothing was tracked); it
+    covers the lassos only, since the big circle is never tracked.
+    ``consistent`` says whether the departure-angle product of the lasso
+    permutations is the identity, which the big circle's permutation is
+    by Schwarz reflection (module docstring)."""
 
     pencil: JacobiPencil
     base_point: ComplexApprox
@@ -115,36 +129,44 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 
 
 def _sheet_solver(chi: BiPoly) -> Callable[[complex], np.ndarray]:
-    """Float sheet positions of the exact w-form curve: w -> the roots of
-    chi(., w).  The table has one row per w-power and one column per
-    lambda-power, both highest first; Horner over the rows performs the
-    same float operations as ``np.polyval`` on each lambda-column."""
-    degree = chi.deg_lambda
+    """Float sheet positions of the exact curve: w -> the roots of
+    chi(., w).  The table holds the t-form (``to_t_form`` raises on a
+    curve with odd w-terms), one row per power of t = w^2 and one column
+    per lambda-power, both highest first; Horner over the rows performs
+    the same float operations as ``np.polyval`` at t on each
+    lambda-column."""
+    curve = to_t_form(chi)
+    degree = curve.deg_lambda
     table = np.array(
         [
             [complex(layer.coefficient(i)) for i in range(degree, -1, -1)]
-            for layer in reversed(chi.layers)
+            for layer in reversed(curve.layers)
         ]
     )
 
     def roots(w: complex) -> np.ndarray:
+        t = w * w
         acc = np.zeros(degree + 1, dtype=complex)
         for row in table:
-            acc = acc * w + row
+            acc = acc * t + row
         return np.roots(acc)
 
     return roots
 
 
-def _min_separation(points: Sequence[complex]) -> float:
+def _min_separation(points: Sequence[complex] | np.ndarray) -> float:
     """Smallest pairwise distance; infinity for fewer than two points.
-    ``np.hypot`` rounds like the scalar complex ``abs``; ``np.abs`` of a
+    The scalar complex ``abs`` on Python complexes; ``np.abs`` of a
     complex array may differ from it in the last bit."""
-    z = np.asarray(points)
-    diff = z[None, :] - z[:, None]
-    dists = np.hypot(diff.real, diff.imag)
-    np.fill_diagonal(dists, math.inf)
-    return dists.min(initial=math.inf)
+    z = points.tolist() if isinstance(points, np.ndarray) else list(points)
+    best = math.inf
+    for i in range(1, len(z)):
+        a = z[i]
+        for b in z[:i]:
+            d = abs(a - b)
+            if d < best:
+                best = d
+    return best
 
 
 def _match(
@@ -166,32 +188,38 @@ def _track(
     path: Callable[[float], complex],
     start: np.ndarray,
     ratios: list[float],
+    floor: float,
 ) -> np.ndarray:
     """Continue sheet positions along path(s), s in [0, 1], appending the
-    separation-to-movement ratio of every accepted step to ``ratios``."""
+    separation-to-movement ratio of every accepted step to ``ratios``.
+    A refused step is halved; a refused step that moved w by less than
+    ``floor`` raises TrackingError."""
     # The step cap keeps any closed path sampled densely enough that a
     # root exchange cannot complete inside one step and fool the
     # movement certificate with a near-zero apparent displacement.
     current = start
     s = 0.0
+    here = path(s)
     step = MAX_PARAM_STEP
     sep = _min_separation(current)
     while s < 1.0:
         target = min(1.0, s + step)
-        new_roots = solve(path(target))
+        there = path(target)
+        new_roots = solve(there)
         outcome = _match(current, new_roots, sep)
         if outcome is None:
-            step /= 2.0
-            if step < MIN_PARAM_STEP:
+            if abs(there - here) < floor:
                 raise TrackingError(
                     f"separation certificate failed near path parameter {s:.6f}"
                 )
+            step /= 2.0
             continue
         picks, max_move = outcome
         ratios.append(math.inf if max_move == 0.0 else sep / max_move)
         current = new_roots[picks]
         sep = _min_separation(current)
         s = target
+        here = there
         if step < MAX_PARAM_STEP:
             step *= 2.0
     return current
@@ -286,7 +314,7 @@ def _circle(
     """Permutation (0-based) of the sheets at the circle's starting point
     after one counterclockwise turn from angle ``phase``."""
     circle = lambda s: center + radius * cmath.exp(1j * (phase + 2.0 * math.pi * s))
-    after = _track(solve, circle, start, ratios)
+    after = _track(solve, circle, start, ratios, MIN_STEP_FRACTION * radius)
     outcome = _match(after, start, _min_separation(start))
     if outcome is None:
         raise TrackingError("loop endpoint does not match its start labels")
@@ -304,11 +332,14 @@ def _cross(a: complex, b: complex) -> float:
 
 def _route(
     start: complex, end: complex, obstacles: list[tuple[complex, float]]
-) -> tuple[list[Callable[[float], complex]], complex]:
+) -> tuple[list[Callable[[float], complex]], complex, bool]:
     """Piecewise path from start toward end dodging obstacle disks.
 
     Returns the paths of the pieces before the final straight run to
-    end, and the point where that run starts.  Straight where possible;
+    end, the point where that run starts, and whether the route is the
+    mirror image of the route from conj(start) to conj(end) past the
+    conjugate disks (False when the tie rule below decided a side).
+    Straight where possible;
     where the segment would enter a disk, an arc along the disk boundary
     replaces the chord, on the side the straight segment already favors
     (the side away from the center).  When the segment passes exactly
@@ -319,10 +350,11 @@ def _route(
     loop circles and of the base point."""
     paths: list[Callable[[float], complex]] = []
     cur = start
+    mirrored = True
     direction = end - start
     length = abs(direction)
     if length == 0:
-        return paths, cur
+        return paths, cur, mirrored
     unit = direction / length
     remaining = sorted(obstacles, key=lambda ob: ((ob[0] - start) / unit).real)
     for center, r in remaining:
@@ -337,7 +369,9 @@ def _route(
         ph_in = cmath.phase(z_in - center)
         ph_out = cmath.phase(z_out - center)
         sweep_ccw = (ph_out - ph_in) % (2.0 * math.pi)
-        side = -1.0 if offset > TIE_TOL * max(1.0, abs(center)) else 1.0
+        tie = TIE_TOL * max(1.0, abs(center))
+        side = -1.0 if offset > tie else 1.0
+        mirrored = mirrored and abs(offset) > tie
         mid_ccw = center + r * cmath.exp(1j * (ph_in + sweep_ccw / 2.0))
         ccw_side = 1.0 if _cross(unit, mid_ccw - cur) > 0 else -1.0
         sweep = sweep_ccw if ccw_side == side else sweep_ccw - 2.0 * math.pi
@@ -347,7 +381,7 @@ def _route(
             + r * cmath.exp(1j * (ph0 + s * sw))
         )
         cur = z_out
-    return paths, cur
+    return paths, cur, mirrored
 
 
 def _lasso(
@@ -358,10 +392,12 @@ def _lasso(
     radius: float,
     obstacles: list[tuple[complex, float]],
     ratios: list[float],
-) -> tuple[int, ...]:
+) -> tuple[tuple[int, ...], bool]:
+    """Permutation (0-based) of the lasso around bp, and whether its
+    route is the mirror image of the route to conj(bp) (see _route)."""
     direction = (w0 - bp) / abs(w0 - bp)
     entry = bp + radius * direction
-    paths, seg_from = _route(w0, entry, obstacles)
+    paths, seg_from, mirrored = _route(w0, entry, obstacles)
     # The final straight run heads radially into the target; uniform
     # steps cannot resolve a loop radius far smaller than the run, so
     # reparameterize it geometrically: equal parameter steps then halve
@@ -375,10 +411,14 @@ def _lasso(
         )
     else:
         paths.append(lambda s, a=seg_from, b=entry: a + s * (b - a))
+    # the approach passes obstacle disks, so its floor is a fraction of
+    # the smallest radius it can meet
+    floor = MIN_STEP_FRACTION * min([radius] + [r for _, r in obstacles])
     at_entry = base
     for path in paths:
-        at_entry = _track(solve, path, at_entry, ratios)
-    return _circle(solve, bp, radius, cmath.phase(entry - bp), at_entry, ratios)
+        at_entry = _track(solve, path, at_entry, ratios, floor)
+    perm = _circle(solve, bp, radius, cmath.phase(entry - bp), at_entry, ratios)
+    return perm, mirrored
 
 
 def track_loop(
@@ -439,10 +479,43 @@ def _orbits(generators: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(v)) for v in groups.values())
 
 
+def _check_conjugate_pairs(
+    bps: list[ComplexApprox],
+    radii: list[float],
+    perms: list[tuple[int, ...]],
+    mirrored: list[bool],
+) -> None:
+    """Raise TrackingError unless the lasso of each upper branch point and
+    that of the reported point nearest its conjugate are mutually
+    inverse.  The partner must lie within CIRCLE_MARGIN times the upper
+    lasso's radius of that conjugate; a pair whose routes are not mirror
+    images is skipped."""
+    values = [b.value for b in bps]
+    for k, bp in enumerate(values):
+        if bp.imag <= 0:
+            continue
+        mirror = bp.conjugate()
+        j = min(range(len(values)), key=lambda i: abs(values[i] - mirror))
+        if abs(values[j] - mirror) >= CIRCLE_MARGIN * radii[k]:
+            raise TrackingError(
+                f"lasso {k + 1} around {bps[k]}: no branch point near its "
+                "conjugate"
+            )
+        if not (mirrored[k] and mirrored[j]):
+            continue
+        after = compose(perms[k], perms[j])
+        if after != tuple(range(len(after))):
+            raise TrackingError(
+                f"lassos {k + 1} and {j + 1} around conjugate branch points "
+                f"{bps[k]} and {bps[j]}: permutations are not mutually inverse"
+            )
+
+
 def monodromy_group(p: JacobiPencil) -> MonodromyReport:
     """Full monodromy report: one lasso permutation per branch point,
-    the order of the generated group by closure enumeration, the orbit
-    partition, and the big-circle consistency check."""
+    checked pairwise against the conjugate lasso, the order of the
+    generated group by closure enumeration, the orbit partition, and the
+    product consistency check."""
     bps = branch_points(p)
     values = [b.value for b in bps]
     w0 = _base_point(values)
@@ -453,39 +526,36 @@ def monodromy_group(p: JacobiPencil) -> MonodromyReport:
         min((abs(bp - o) for o in values if o != bp), default=abs(w0 - bp))
         for bp in values
     ]
+    # branch_points keeps every nearest distance at least CLUSTER_TOL
+    # times the root scale, so a third of it is a usable radius
+    radii = [d / 3.0 for d in nearest]
     exclusion = [(bp, EXCLUSION_FACTOR * d) for bp, d in zip(values, nearest)]
     perms: list[tuple[int, ...]] = []
+    mirrored: list[bool] = []
     for k, bp in enumerate(values):
-        radius = max(nearest[k] / 3.0, MIN_PARAM_STEP)
         obstacles = exclusion[:k] + exclusion[k + 1 :]
         try:
-            perms.append(_lasso(solve, w0, base, bp, radius, obstacles, ratios))
+            perm, mirror_route = _lasso(
+                solve, w0, base, bp, radii[k], obstacles, ratios
+            )
         except TrackingError as exc:
             raise TrackingError(f"lasso {k + 1} around {bps[k]}: {exc}") from exc
+        perms.append(perm)
+        mirrored.append(mirror_route)
+    _check_conjugate_pairs(bps, radii, perms, mirrored)
     group_order = _group_closure(perms, p.n)
     orbits = _orbits(perms, p.n)
-    if values:
-        try:
-            big = _circle(solve, 0j, abs(w0), 0.0, base, ratios)
-        except TrackingError as exc:
-            raise TrackingError(f"big circle: {exc}") from exc
-        # concatenation order: by departure angle from the base point,
-        # descending; collinear branch points share an angle and the
-        # farther one, whose lasso detours around the nearer, comes
-        # first
-        order = sorted(
-            range(len(values)),
-            key=lambda i: (
-                -cmath.phase(values[i] - w0),
-                -abs(values[i] - w0),
-            ),
-        )
-        product = tuple(range(p.n))
-        for i in order:
-            product = compose(product, perms[i])
-        consistent = product == big
-    else:
-        consistent = True
+    # concatenation order: by departure angle from the base point,
+    # descending; collinear branch points share an angle and the farther
+    # one, whose lasso detours around the nearer, comes first
+    order = sorted(
+        range(len(values)),
+        key=lambda i: (-cmath.phase(values[i] - w0), -abs(values[i] - w0)),
+    )
+    identity = tuple(range(p.n))
+    product = identity
+    for i in order:
+        product = compose(product, perms[i])
     return MonodromyReport(
         pencil=p,
         base_point=ComplexApprox.from_complex(w0),
@@ -494,7 +564,7 @@ def monodromy_group(p: JacobiPencil) -> MonodromyReport:
         group_order=group_order,
         orbits=orbits,
         certified_step=min(ratios, default=math.inf),
-        consistent=consistent,
+        consistent=product == identity,
     )
 
 

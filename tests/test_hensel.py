@@ -1,17 +1,24 @@
 """Subset-indexed lifting at t = 0 and the complete factorization decision."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobispec import hensel
 from jacobispec.errors import UnsupportedPencilError
 from jacobispec.exactpoly import UniPoly
-from jacobispec.experiments import sample_d3_stratum, sample_generic
+from jacobispec.experiments import (
+    sample_d3_stratum,
+    sample_generic,
+    sample_palindromic,
+    sample_scalar,
+)
 from jacobispec.hensel import (
     SubsetSplit,
     _attempt_split,
@@ -21,6 +28,7 @@ from jacobispec.hensel import (
     lift_subset,
     obstruction_profile,
 )
+from jacobispec.mechanisms import apply_all
 from jacobispec.pencil import continuant, curve_t, curve_w, pencil
 
 
@@ -357,3 +365,95 @@ def test_trace_filter_refutes_generic_pencils_without_lifting(monkeypatch):
     # a cut pencil lifts its witness
     decide(pencil([0, 1, 2], [1, 0]))
     assert [s.indices for s in lifted] == [(3,)]
+
+
+# ------------------------------------------------------- sympy as oracle
+
+LAM, T, W = sympy.symbols("lam t w")
+
+
+def _sympy_curve(p, outer):
+    """det(lambda + A + wB) by the minor recurrence in sympy polynomials,
+    in t-form (outer = T) or w-form (outer = W)."""
+    square = outer if outer is T else outer**2
+
+    def poly(expr):
+        return sympy.Poly(expr, LAM, outer, domain=sympy.QQ)
+
+    prev, cur = poly(1), poly(LAM + sympy.Rational(p.a[0]))
+    for k in range(1, p.n):
+        diag = poly(LAM + sympy.Rational(p.a[k]))
+        coupling = poly(sympy.Rational(p.c[k - 1]) * square)
+        cur, prev = cur * diag - prev * coupling, cur
+    return cur
+
+
+def _sympy_poly(f, outer):
+    terms = {
+        (i, j): sympy.Rational(v)
+        for j, layer in enumerate(f.layers)
+        for i, v in enumerate(layer.coeffs)
+        if v
+    }
+    return sympy.Poly.from_dict(terms, LAM, outer, domain=sympy.QQ)
+
+
+def _monic_factors(poly):
+    """Monic irreducible factors over QQ as a multiset; monic in lambda
+    because a factor of a lambda-monic curve has a constant leading
+    lambda-coefficient, which leads in (lam, outer) lex order."""
+    _, parts = poly.factor_list()
+    return Counter(
+        tuple(sorted(f.monic().terms())) for f, mult in parts for _ in range(mult)
+    )
+
+
+def _sympy_pencils(rng):
+    """Generic, one-cut, two-cut and d3-stratum pencils, n = 3..8."""
+    for n in range(3, 9):
+        for _ in range(2):
+            for cuts in (0, 1, 2):
+                q = sample_generic(rng, n, 9)
+                b = list(q.b)
+                for k in rng.sample(range(n - 1), cuts):
+                    b[k] = 0
+                yield pencil(q.a, b)
+            # a d3-stratum block (diagonal within 9 + 9**3), cut off from
+            # a generic block of size n - 3 with distinct diagonal entries
+            d3 = sample_d3_stratum(rng, 9)
+            if n == 3:
+                yield d3
+                continue
+            rest = sample_generic(rng, n - 3, 9)
+            a = list(d3.a) + [x + 1000 for x in rest.a]
+            yield pencil(a, list(d3.b) + [0] + list(rest.b))
+
+
+def test_decide_factors_equal_sympy_factor_list():
+    # decide's factors are absolutely irreducible, and for distinct
+    # diagonals the complex and rational factorizations agree (module
+    # docstring of hensel), so they are exactly sympy's factors over QQ
+    rng = random.Random(2201)
+    reducible = 0
+    for p in _sympy_pencils(rng):
+        d = decide(p)
+        reducible += d.reducible
+        got = Counter(tuple(sorted(_sympy_poly(f, T).terms())) for f in d.factors_t)
+        assert got == _monic_factors(_sympy_curve(p, T)), p
+    assert reducible >= 30
+
+
+def test_mechanism_leaves_are_products_of_sympy_factors():
+    # leaves are not claimed to be irreducible; their rational factors
+    # together are the curve's
+    rng = random.Random(2202)
+    pencils = [pencil([0, 1, 1, 0], [1, 2, 1]), pencil([3, 3, 3], [1, 2])]
+    pencils += [sample_palindromic(rng, n, 5) for n in (4, 5, 6)]
+    pencils += [sample_scalar(rng, n, 5) for n in (3, 4)]
+    pencils.append(pencil([2, 2, 5, 2, 2], [1, 0, 3, 1]))
+    for p in pencils:
+        leaves = apply_all(p).residual_factors
+        found = Counter()
+        for leaf in leaves:
+            found += _monic_factors(_sympy_poly(leaf, W))
+        assert found == _monic_factors(_sympy_curve(p, W)), p

@@ -156,7 +156,7 @@ def test_tracking_error_names_the_failing_loop(monkeypatch):
     assert str(info.value).startswith(f"lasso 1 around {first}: ")
     assert isinstance(info.value.__cause__, TrackingError)
 
-    # one circle closes each lasso; the next one is the big circle
+    # one circle closes each lasso; fail inside the last one
     circle = monodromy._circle
     circles = []
 
@@ -164,15 +164,94 @@ def test_tracking_error_names_the_failing_loop(monkeypatch):
         circles.append(args)
         return circle(*args)
 
-    lassos = len(branch_points(p))
+    bps = branch_points(p)
 
-    def failing_on_big_circle(queries, candidates, sep):
-        return None if len(circles) > lassos else match(queries, candidates, sep)
+    def failing_on_last_circle(queries, candidates, sep):
+        return None if len(circles) == len(bps) else match(queries, candidates, sep)
 
     monkeypatch.setattr(monodromy, "_circle", counting)
-    monkeypatch.setattr(monodromy, "_match", failing_on_big_circle)
-    with pytest.raises(TrackingError, match="^big circle: "):
+    monkeypatch.setattr(monodromy, "_match", failing_on_last_circle)
+    with pytest.raises(TrackingError) as info:
         monodromy_group(p)
+    assert str(info.value).startswith(f"lasso {len(bps)} around {bps[-1]}: ")
+    assert isinstance(info.value.__cause__, TrackingError)
+
+
+def test_big_circle_is_the_identity():
+    # Schwarz reflection: the sheets over conj(w) are the conjugates of
+    # those over w and the sheets over real w are real, so the big circle
+    # through w0 returns every sheet to its own label
+    rng = random.Random(22)
+    for trial in range(10):
+        n = 2 + trial % 5
+        a = [rng.randint(-9, 9) for _ in range(n)]
+        b = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n - 1)]
+        if trial % 3 == 1:
+            a[-1] = a[0]  # repeated diagonal
+        if trial % 3 == 2 and n > 2:
+            b[rng.randrange(n - 1)] = 0  # cut
+        p = pencil(a, b)
+        w0 = monodromy._base_point([z.value for z in branch_points(p)])
+        solve = monodromy._sheet_solver(curve_w(p))
+        base = monodromy._sorted_start(solve(w0))
+        assert monodromy._circle(solve, 0j, abs(w0), 0.0, base, []) == tuple(range(n))
+
+
+def test_pair_check_names_both_lassos(monkeypatch):
+    p = pencil([0, 1, 5], [1, 1])
+    bps = branch_points(p)
+    values = [z.value for z in bps]
+    lower = next(k for k, z in enumerate(values) if z.imag < 0)
+    mirror = values[lower].conjugate()
+    upper = min(range(len(values)), key=lambda k: abs(values[k] - mirror))
+    assert values[upper].imag > 0
+    lasso = monodromy._lasso
+
+    def replaced(solve, w0, base, bp, *rest):
+        perm, mirrored = lasso(solve, w0, base, bp, *rest)
+        return (tuple(range(p.n)) if bp == values[lower] else perm), mirrored
+
+    monkeypatch.setattr(monodromy, "_lasso", replaced)
+    with pytest.raises(TrackingError) as info:
+        monodromy_group(p)
+    assert str(info.value).startswith(
+        f"lassos {upper + 1} and {lower + 1} around conjugate branch points "
+        f"{bps[upper]} and {bps[lower]}: "
+    )
+
+
+def test_pair_check_needs_a_conjugate_partner(monkeypatch):
+    # the discriminant has rational coefficients, so a reported branch
+    # point with no reported point near its conjugate is a numeric failure
+    p = pencil([0, 1, 5], [1, 1])
+    bps = branch_points(p)
+    lower = next(k for k, z in enumerate(bps) if z.im < 0)
+    kept = bps[:lower] + bps[lower + 1 :]
+    monkeypatch.setattr(monodromy, "branch_points", lambda q: kept)
+    with pytest.raises(TrackingError, match="no branch point near its conjugate"):
+        monodromy_group(p)
+
+
+def test_step_floor_in_w_units_regression():
+    # lasso 11 has radius 5.3e-5 at the end of an approach about 28
+    # long; a step floor in path-parameter units stopped bisecting at
+    # w-steps comparable to that radius and raised TrackingError
+    r = monodromy_group(pencil([-2, -7, 4, 7, 7, -6], [7, -2, 4, -1, -7]))
+    assert r.group_order == 720
+    assert r.orbits == [(1, 2, 3, 4, 5, 6)]
+    assert r.consistent
+
+
+def test_lasso_circle_holds_one_branch_point_regression():
+    # branch points 13 and 14 lie 9.98e-7 apart; a loop radius clamped
+    # up to 1e-6 enclosed both and read a 3-cycle.  The discriminant is
+    # squarefree of degree n(n - 1), so every branch point is simple and
+    # every lasso a transposition.
+    r = monodromy_group(pencil([-9, 4, 6, 0, -3, 5], [2, 8, 4, 2, -2]))
+    assert len(r.branch_points) == 30
+    for perm in r.permutations:
+        assert sum(i + 1 != j for i, j in enumerate(perm)) == 2
+    assert r.consistent
 
 
 def _by_position(roots):
