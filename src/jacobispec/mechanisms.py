@@ -26,7 +26,10 @@ scalar block
     characteristic polynomial of the coupling-only matrix.  Over the
     complex numbers this is a product of lines, so such a block of size
     >= 2 is always absolutely reducible; over the rationals it splits
-    according to the factorization of q.
+    according to the factorization of q.  q is factored over Q by
+    Zassenhaus's algorithm (Berlekamp modulo a small prime, Hensel lifting
+    above a Mignotte bound, recombination by exact trial division); a
+    factor is proved irreducible when no recombination divides it.
 
 Every certificate stores the exact factors it claims together with the
 polynomial they multiply to, and verifies the product on construction.
@@ -47,11 +50,14 @@ it checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, islice
 
-from .errors import JacobiSpecError
+from .errors import ExactDivisionError, JacobiSpecError
 from .exactpoly import BiPoly, UniPoly, W_FORM, divide_exact_lambda
+from .exactpoly import _IntPoly, _add, _divexact, _divmod, _mul, _sub, _trim
 from .pencil import Block, JacobiPencil, continuant, curve_w, extract_block, tridiag_det
 
 CUT = "cut"
@@ -240,27 +246,259 @@ def detect_scalar_blocks(p: JacobiPencil) -> list[tuple[int, int]]:
     return out
 
 
-def _factor_unipoly_rational(u: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Irreducible factorization over Q of a monic univariate polynomial,
-    monic factors with multiplicities."""
-    import sympy
+# ---------------------------------------------------------------------------
+# factorization over Q by Zassenhaus's algorithm, on int coefficient lists
+# (ascending, as in the kernel of exactpoly).  Residues modulo m are kept in
+# [0, m).
 
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(u.coeffs)],
-        x,
-        domain="QQ",
-    )
-    _, parts = poly.factor_list()
+# Primes tried for the modular step; the one giving the fewest factors wins.
+_PRIMES_TRIED = 5
+# Odd primes scanned for one that keeps a polynomial's degree and leaves it
+# squarefree, which proves it squarefree over Q without the squarefree
+# decomposition.
+_SQUAREFREE_PRIMES = 10
+
+
+def _reduce(u: _IntPoly, m: int) -> _IntPoly:
+    return _trim([c % m for c in u])
+
+
+def _product(factors: list[_IntPoly], m: int) -> _IntPoly:
+    out = [1]
+    for f in factors:
+        out = _reduce(_mul(out, f), m)
+    return out
+
+
+def _divmod_mod(u: _IntPoly, v: _IntPoly, m: int) -> tuple[_IntPoly, _IntPoly]:
+    """Quotient and remainder of u by v modulo m; lc(v) must be a unit."""
+    inv = pow(v[-1], -1, m)
+    quot, rem = _divmod(u, [c * inv % m for c in v])
+    return _reduce([c * inv for c in quot], m), _reduce(rem, m)
+
+
+def _gcd_mod(u: _IntPoly, v: _IntPoly, p: int) -> _IntPoly:
+    """Monic gcd modulo the prime p."""
+    while v:
+        u, v = v, _divmod_mod(u, v, p)[1]
+    return _divmod_mod(u, u[-1:], p)[0]
+
+
+def _inverse_mod(u: _IntPoly, v: _IntPoly, p: int) -> _IntPoly:
+    """s with s*u = 1 modulo v and the prime p, for u coprime to v."""
+    r0, r1, s0, s1 = u, v, [1], []
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _reduce(_sub(s0, _mul(q, s1)), p)
+    return _divmod_mod(s0, r0, p)[0]
+
+
+def _berlekamp_basis(f: _IntPoly, p: int) -> list[_IntPoly]:
+    """Basis of the algebra {a : a^p = a modulo f and p}, the constant 1
+    first, for a monic f squarefree modulo p.  Its dimension is the number
+    of irreducible factors of f modulo p."""
+    n = len(f) - 1
+    # column i of the matrix is x^(i p) - x^i modulo f
+    mat = [[0] * n for _ in range(n)]
+    xk = [1] + [0] * (n - 1)
+    for i in range(n):
+        for j, c in enumerate(xk):
+            mat[j][i] = (c - (i == j)) % p
+        for _ in range(p):  # times x; the entries grow by less than p^2
+            top = xk[-1] % p
+            xk = [-top * f[0]] + [c - top * d for c, d in zip(xk, f[1:n])]
+    # its null space, by Gauss-Jordan elimination
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if mat[i][col]), None)
+        if piv is None:
+            continue
+        inv = pow(mat[piv][col], -1, p)
+        mat[piv], mat[r] = mat[r], [c * inv % p for c in mat[piv]]
+        for i in range(n):
+            if i != r and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        a = [0] * n
+        a[free] = 1
+        for i, col in enumerate(pivots):
+            a[col] = -mat[i][free] % p
+        basis.append(_trim(a))
+    return basis
+
+
+def _berlekamp_split(f: _IntPoly, basis: list[_IntPoly], p: int) -> list[_IntPoly]:
+    """Monic irreducible factors of f modulo p: gcds with a - s, for the
+    basis elements a and residues s, separate every pair of factors."""
+    factors = [f]
+    for a in basis[1:]:
+        for g in list(factors):
+            for s in range(p):
+                h = _gcd_mod(g, _reduce(_sub(a, [s]), p), p)
+                if 1 < len(h) < len(g):
+                    factors.remove(g)
+                    g = _divmod_mod(g, h, p)[0]
+                    factors += [g, h]
+                if len(factors) == len(basis):
+                    return factors
+    return factors
+
+
+def _odd_primes():
+    p = 1
+    while True:
+        p += 2
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+
+
+def _residue(f: _IntPoly, p: int) -> _IntPoly | None:
+    """f made monic modulo the prime p, or None when p divides lc(f) or f
+    is not squarefree modulo p."""
+    if f[-1] % p == 0:
+        return None
+    fp = _divmod_mod(f, f[-1:], p)[0]
+    derivative = _reduce([k * c for k, c in enumerate(fp)][1:], p)
+    return fp if _gcd_mod(fp, derivative, p) == [1] else None
+
+
+def _modular_factors(f: _IntPoly) -> tuple[int, list[_IntPoly]]:
+    """A prime p and the monic factors of f modulo p, for a squarefree f:
+    of the first _PRIMES_TRIED odd primes that keep f squarefree and its
+    degree, the one with the fewest factors."""
+    best = None
+    tried = 0
+    for p in _odd_primes():
+        fp = _residue(f, p)
+        if fp is None:
+            continue
+        basis = _berlekamp_basis(fp, p)
+        if best is None or len(basis) < len(best[2]):
+            best = (p, fp, basis)
+        tried += 1
+        if tried == _PRIMES_TRIED or len(basis) == 1:
+            break
+    p, fp, basis = best
+    return p, _berlekamp_split(fp, basis, p)
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """From f = g*h and s*g + t*h = 1 modulo m, with h monic, the same
+    identities modulo m^2 (von zur Gathen and Gerhard, Algorithm 15.10)."""
+    mm = m * m
+    e = _reduce(_sub(f, _mul(g, h)), mm)
+    q, r = _divmod(_mul(s, e), h)
+    g = _reduce(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
+    h = _reduce(_add(h, r), mm)
+    b = _reduce(_sub(_add(_mul(s, g), _mul(t, h)), [1]), mm)
+    c, d = _divmod(_mul(s, b), h)
+    t = _reduce(_sub(t, _add(_mul(t, b), _mul(c, g))), mm)
+    return g, h, _reduce(_sub(s, d), mm), t
+
+
+def _hensel_lift(f: _IntPoly, mods: list[_IntPoly], p: int, pk: int) -> list[_IntPoly]:
+    """Monic factors modulo pk of f = lc(f) * prod(mods) modulo p, in the
+    order of mods, by lifting a balanced factor tree."""
+    if len(mods) == 1:
+        return [_divmod_mod(f, f[-1:], pk)[0]]
+    half = len(mods) // 2
+    g = _product([f[-1:]] + mods[:half], p)
+    h = _product(mods[half:], p)
+    s = _inverse_mod(g, h, p)
+    t = _divmod_mod(_sub([1], _mul(s, g)), h, p)[0]
+    m = p
+    while m < pk:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        m *= m
+    return _hensel_lift(g, mods[:half], p, pk) + _hensel_lift(h, mods[half:], p, pk)
+
+
+def _primitive(u) -> _IntPoly:
+    """The primitive integer multiple of u (int or Fraction coefficients)
+    with positive leading coefficient."""
+    den = math.lcm(*(c.denominator for c in u))
+    ints = [int(c * den) for c in u]
+    g = math.gcd(*ints)
+    return [c // (g if ints[-1] > 0 else -g) for c in ints]
+
+
+def _recombine(f: _IntPoly, lifted: list[_IntPoly], pk: int) -> list[_IntPoly]:
+    """Irreducible factors over Z of f from its monic factors modulo pk.
+
+    Subsets of the remaining factors are tried by increasing size, up to
+    half of them: lc(f) times their product, read in the symmetric range
+    and made primitive, is a factor when it divides f exactly.  What is
+    left when no subset divides is irreducible."""
     out = []
-    for f, mult in parts:
-        coeffs = [
-            Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())
-        ]
-        out.append((UniPoly(coeffs).monic(), int(mult)))
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            cand = _product([f[-1:]] + [lifted[i] for i in subset], pk)
+            cand = _primitive([c - pk if 2 * c > pk else c for c in cand])
+            try:
+                quot = _divexact(f, cand)
+            except ExactDivisionError:
+                continue
+            out.append(cand)
+            f = quot
+            lifted = [g for i, g in enumerate(lifted) if i not in subset]
+            break
+        else:
+            size += 1
+    return out + [f]
+
+
+def _factor_squarefree(f: _IntPoly) -> list[_IntPoly]:
+    """Irreducible factors over Z of a squarefree primitive f.
+
+    A factor h of f of degree d < n = deg f has coefficients at most
+    binomial(d, i) * ||f||_2 <= 2^(n-1) * ||f||_2 = B (Mignotte).  Lifted
+    modulo p^k > 2 |lc(f)| B, lc(f)/lc(h) * h is lc(f) times a product of
+    lifted factors read exactly in the symmetric range."""
+    if len(f) <= 2:
+        return [f]
+    p, mods = _modular_factors(f)
+    if len(mods) == 1:
+        return [f]
+    bound = 2 * abs(f[-1]) * 2 ** (len(f) - 2) * (math.isqrt(sum(c * c for c in f)) + 1)
+    pk = p
+    while pk <= bound:
+        pk *= p
+    return _recombine(f, _hensel_lift(f, mods, p, pk), pk)
+
+
+def _factor_unipoly_rational(u: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Irreducible factorization over Q of a univariate polynomial by
+    Zassenhaus's algorithm: monic factors with multiplicities, in sympy's
+    ``factor_list`` order (degree, multiplicity, then the primitive integer
+    coefficients from the highest down).
+
+    x^j is split off and the rest split by ``squarefree_decomposition``.
+    A factor is proved irreducible by exhausted recombination: no product
+    of its modular factors divides it.  The product of the factors is
+    checked against u exactly."""
+    j = next((k for k, c in enumerate(u.coeffs) if c), 0)
+    parts = [([0, 1], j)] if j else []
+    rest = UniPoly(u.coeffs[j:])
+    if rest.degree > 0:
+        # squarefree modulo a prime that keeps the degree: squarefree over Q
+        f = _primitive(rest.coeffs)
+        if any(_residue(f, p) for p in islice(_odd_primes(), _SQUAREFREE_PRIMES)):
+            squarefree = [(rest, 1)]
+        else:
+            squarefree = rest.squarefree_decomposition()
+        for g, mult in squarefree:
+            parts += [(h, mult) for h in _factor_squarefree(_primitive(g.coeffs))]
+    parts.sort(key=lambda part: (len(part[0]), part[1], part[0][::-1]))
+    out = [(UniPoly([Fraction(c, f[-1]) for c in f]), mult) for f, mult in parts]
     check = UniPoly.one()
     for f, mult in out:
-        check = check * f**mult
+        for _ in range(mult):
+            check = check * f
     if check != u.monic():
         raise JacobiSpecError("rational factorization failed to verify")
     return out

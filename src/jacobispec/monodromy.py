@@ -250,8 +250,9 @@ def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return z
 
 
-def branch_points(p: JacobiPencil) -> list[ComplexApprox]:
-    """Numeric roots of the exact lambda-discriminant in w.
+def branch_points(p: JacobiPencil, curve: BiPoly | None = None) -> list[ComplexApprox]:
+    """Numeric roots of the exact lambda-discriminant in w.  ``curve`` is
+    ``curve_w(p)`` when the caller has built it already.
 
     The discriminant comes from exact arithmetic; only root finding is
     numeric.  The curve is monic in lambda, so its discriminant vanishes
@@ -265,7 +266,7 @@ def branch_points(p: JacobiPencil) -> list[ComplexApprox]:
     instead of merging them."""
     if p.n < 2:
         raise UnsupportedPencilError("monodromy needs at least two sheets")
-    disc = discriminant_in_lambda(curve_w(p))
+    disc = discriminant_in_lambda(curve_w(p) if curve is None else curve)
     if disc.is_zero:
         raise NotSquarefreeError(
             "curve has a repeated lambda-factor; factor first, then take "
@@ -433,12 +434,13 @@ def track_loop(
     if radius <= 0:
         raise ValueError("radius must be positive")
     c = center.value if isinstance(center, ComplexApprox) else complex(center)
-    for bp in branch_points(p):
+    chi = curve_w(p)
+    for bp in branch_points(p, chi):
         if abs(abs(bp.value - c) - radius) < CIRCLE_MARGIN * radius:
             raise ValueError(
                 f"circle passes too close to branch point {bp}"
             )
-    solve = _sheet_solver(curve_w(p))
+    solve = _sheet_solver(chi)
     perm = _circle(solve, c, radius, 0.0, _sorted_start(solve(c + radius)), [])
     return tuple(i + 1 for i in perm)
 
@@ -516,10 +518,11 @@ def monodromy_group(p: JacobiPencil) -> MonodromyReport:
     checked pairwise against the conjugate lasso, the order of the
     generated group by closure enumeration, the orbit partition, and the
     product consistency check."""
-    bps = branch_points(p)
+    chi = curve_w(p)
+    bps = branch_points(p, chi)
     values = [b.value for b in bps]
     w0 = _base_point(values)
-    solve = _sheet_solver(curve_w(p))
+    solve = _sheet_solver(chi)
     ratios: list[float] = []
     base = _sorted_start(solve(w0))
     nearest = [

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -215,3 +217,39 @@ def test_selftest_passes():
     assert len(results) == 10
     assert all(c["passed"] for c in results)
     assert doc["result"]["passed"] is True
+
+
+NO_SYMPY_SCRIPT = """
+import io, json, sys
+from jacobispec import cli
+docs = [
+    ("detect", {"n": 4, "a": ["2", "2", "2", "2"], "b": ["1", "-3", "2"]}),
+    ("decide", {"n": 4, "a": ["0", "1", "3", "-2"], "b": ["1", "0", "2"]}),
+]
+kinds = []
+for command, doc in docs:
+    sys.stdin, sys.stdout = io.StringIO(json.dumps(doc)), io.StringIO()
+    code = cli.main([command])
+    result = json.loads(sys.stdout.getvalue())["result"]
+    sys.stdout = sys.__stdout__
+    assert code == 0, (command, code)
+    kinds += [c["kind"] for c in result.get("certificates", [])]
+print(json.dumps({"kinds": kinds, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_cli_never_imports_sympy():
+    # sympy is a test and benchmark oracle only: a CLI process that
+    # certifies a scalar block and decides a cut pencil never loads it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report == {"kinds": ["scalar-block"], "sympy": False}

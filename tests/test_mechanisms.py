@@ -1,8 +1,11 @@
 """Structured-factorization certificates: cuts, constant branches, palindromes, scalar blocks."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from jacobispec import mechanisms
 from jacobispec.errors import JacobiSpecError
@@ -16,6 +19,7 @@ from jacobispec.mechanisms import (
     detect_cuts,
     detect_palindrome,
     detect_scalar_blocks,
+    scalar_block_certificate,
 )
 from jacobispec.pencil import Block, curve_w, pencil
 
@@ -257,3 +261,90 @@ def test_report_curve_is_an_independent_build(monkeypatch):
     monkeypatch.setattr(mechanisms, "detect_palindrome", lying)
     with pytest.raises(JacobiSpecError, match="final product check"):
         apply_all(pencil([0, 1, 1, 0], [1, 2, 1]))
+
+
+# ------------------------------------------------------- sympy as oracle
+
+_X = sympy.Symbol("x")
+
+
+def _sympy_factor_list(u):
+    """sympy's ordered factor list of u over QQ, each factor made monic."""
+    poly = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(u.coeffs)],
+        _X,
+        domain="QQ",
+    )
+    out = []
+    for f, m in poly.factor_list()[1]:
+        coeffs = reversed(f.monic().all_coeffs())
+        out.append((UniPoly([Fraction(int(c.p), int(c.q)) for c in coeffs]), m))
+    return out
+
+
+def _factorization_inputs(rng):
+    x = UniPoly.variable()
+    # both quartics are irreducible over Q and split modulo every prime,
+    # so their factors are products of two or more modular factors
+    yield (x**4 - 10 * x**2 + 1) * (x**4 - 14 * x**2 + 9)
+    # coupling polynomials of constant blocks, integer and rational couplings
+    for n in range(2, 17):
+        for den in (1, 7):
+            b = [
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, den))
+                for _ in range(n - 1)
+            ]
+            yield coupling_charpoly(Block(pencil([0] * n, b), 1, n))
+    # non-monic and rational, with repeated factors and powers of x
+    for _ in range(30):
+        u = UniPoly([Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))])
+        for _ in range(rng.randint(1, 4)):
+            low = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+            top = rng.choice((1, 2, -3, Fraction(5, 2)))
+            f = UniPoly(low[: rng.randint(1, 4)] + [top])
+            u = u * f ** rng.randint(1, 3)
+        yield u
+
+
+def test_rational_factors_equal_sympy_factor_list():
+    # the in-house factorization over Q against sympy's, factor order
+    # included: the order is part of every scalar-block certificate
+    for u in _factorization_inputs(random.Random(23)):
+        assert mechanisms._factor_unipoly_rational(u) == _sympy_factor_list(u), u
+
+
+def test_scalar_block_with_zero_coupling_equals_sympy_factor_list():
+    # a zero coupling inside the block repeats eigenvalues of the coupling
+    # matrix: repeated rational factors and powers of x
+    rng = random.Random(7)
+    repeated = with_x = 0
+    for n in range(3, 11):
+        for _ in range(3):
+            b = [rng.choice((0, 1, -2, 3)) for _ in range(n - 1)]
+            cert = scalar_block_certificate(Block(pencil([2] * n, b), 1, n))
+            parts = cert.data["rational_factors"]
+            assert parts == _sympy_factor_list(cert.data["coupling_charpoly"]), b
+            repeated += any(m > 1 for _, m in parts)
+            with_x += any(f == UniPoly.variable() for f, _ in parts)
+    assert repeated and with_x
+
+
+def test_recombination_modulus_exceeds_twice_the_mignotte_bound(monkeypatch):
+    # lc(f)/lc(h) * h has coefficients at most binomial(n - 1, i) * ||f||_2
+    # for a factor h of f, so it is read exactly only modulo more than
+    # twice that
+    recombine = mechanisms._recombine
+    moduli = []
+
+    def recording(f, lifted, pk):
+        moduli.append((f, pk))
+        return recombine(f, lifted, pk)
+
+    monkeypatch.setattr(mechanisms, "_recombine", recording)
+    for u in _factorization_inputs(random.Random(23)):
+        mechanisms._factor_unipoly_rational(u)
+    assert len(moduli) > 20
+    for f, pk in moduli:
+        n = len(f) - 1
+        binomial = math.comb(n - 1, (n - 1) // 2)
+        assert pk**2 > 4 * binomial**2 * sum(c * c for c in f), f

@@ -227,7 +227,7 @@ def test_pair_check_needs_a_conjugate_partner(monkeypatch):
     bps = branch_points(p)
     lower = next(k for k, z in enumerate(bps) if z.im < 0)
     kept = bps[:lower] + bps[lower + 1 :]
-    monkeypatch.setattr(monodromy, "branch_points", lambda q: kept)
+    monkeypatch.setattr(monodromy, "branch_points", lambda q, curve=None: kept)
     with pytest.raises(TrackingError, match="no branch point near its conjugate"):
         monodromy_group(p)
 
