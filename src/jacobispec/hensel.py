@@ -153,25 +153,6 @@ def canonical_subsets(universe: Sequence[int]) -> Iterator[SubsetSplit]:
 
 
 @dataclass(frozen=True)
-class LiftState:
-    """Outcome of lifting one subset to a working order.
-
-    F and G are t-form polynomials whose layers hold the computed series
-    coefficients (not degree-capped); P = F*G holds modulo t^(order+1).
-    ``bezout`` is the pair (U, V) with U*F0 + V*G0 = 1 over the seed
-    factors.  ``residuals[k-1]`` is the lambda-polynomial coefficient of
-    t^k in P - F*G just before the order-k correction (the quantity the
-    correction then absorbs)."""
-
-    subset: SubsetSplit
-    F: BiPoly
-    G: BiPoly
-    bezout: tuple[UniPoly, UniPoly]
-    order: int
-    residuals: tuple[UniPoly, ...]
-
-
-@dataclass(frozen=True)
 class Decision:
     """Verdict of the complete subset scan.
 
@@ -205,26 +186,19 @@ class Decision:
 # scan runs here; BiPoly objects are built only at the boundaries.
 
 
-def _bezout(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Extended Euclid over Q[lambda]: (u, v) with u*f + v*g = 1.
-    Raises if f and g share a root."""
+def _bezout(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    """Extended Euclid over Q[lambda], tracking the g cofactor only: v
+    with v*g = 1 modulo f.  Raises if f and g share a root."""
     r0, r1 = list(f), list(g)
-    u0, u1 = [Fraction(1)], []
     v0, v1 = [], [Fraction(1)]
     while r1:
-        lead = r1[-1]
+        inv = 1 / r1[-1]
         if len(r1) == 1:
-            inv = 1 / lead
-            return (
-                [c * inv for c in u1],
-                [c * inv for c in v1],
-            )
-        inv = 1 / lead
+            return [c * inv for c in v1]
         monic_r1 = [c * inv for c in r1]
         q, r = _divmod(r0, monic_r1)
         q = [c * inv for c in q]
         r0, r1 = r1, r
-        u0, u1 = u1, _sub(u0, _mul(q, u1))
         v0, v1 = v1, _sub(v0, _mul(q, v1))
     raise ValueError("seed factors are not coprime")
 
@@ -239,16 +213,15 @@ def _root_product(values: Sequence[Fraction]) -> list[Fraction]:
 
 class _Seed(NamedTuple):
     """Start of the lift of one subset: the curve's t-layers as lists,
-    the canonical subset, its seed factors F0 and G0 with the Bezout pair
-    (U, V), U*F0 + V*G0 = 1, the t-degree caps of both sides and the
-    working order D + 1, one past deg_t of the curve (see the module
+    the canonical subset, its seed factors F0 and G0 with the Bezout
+    cofactor V, V*G0 = 1 modulo F0, the t-degree caps of both sides and
+    the working order D + 1, one past deg_t of the curve (see the module
     docstring)."""
 
     layers: list[list[Fraction]]
     subset: SubsetSplit
     F0: list[Fraction]
     G0: list[Fraction]
-    U: list[Fraction]
     V: list[Fraction]
     cap_f: int
     cap_g: int
@@ -270,34 +243,32 @@ def _seed(
     D = max(P.deg_outer, 0)
     F0 = _root_product([roots[i] for i in subset.indices])
     G0 = _root_product([roots[i] for i in subset.complement])
-    U, V = _bezout(F0, G0)
+    V = _bezout(F0, G0)
     cap_f = min(subset.size // 2, D)
     cap_g = min((len(universe) - subset.size) // 2, D)
     layers = [list(l.coeffs) for l in P.layers]
-    return _Seed(layers, subset, F0, G0, U, V, cap_f, cap_g, D + 1)
+    return _Seed(layers, subset, F0, G0, V, cap_f, cap_g, D + 1)
 
 
 def _lift_core(
     seed: _Seed, order: int
-) -> tuple[list[list[Fraction]], list[list[Fraction]], list[list[Fraction]]]:
+) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
     """Order-by-order lift of the unique formal factorization, returned
-    as the layers f and g of both sides through t^order and the
-    pre-correction residuals d_k.
+    as the layers f and g of both sides through t^order.
 
-    The order-k residual is d = (P - F*G)_k with corrections through
-    order k-1 in place.  The correction solves fk*G0 + gk*F0 = d with
-    deg fk < deg F0: fk is V*d reduced modulo F0, and gk then comes out
-    of an exact division (its exactness is an internal invariant)."""
+    The order-k correction absorbs d = (P - F*G)_k, taken with the
+    corrections through order k-1 in place.  It solves
+    fk*G0 + gk*F0 = d with deg fk < deg F0: fk is V*d reduced modulo F0,
+    and gk then comes out of an exact division (its exactness is an
+    internal invariant)."""
     p_layers, F0, G0, V = seed.layers, seed.F0, seed.G0, seed.V
     f: list[list[Fraction]] = [F0]
     g: list[list[Fraction]] = [G0]
-    residuals: list[list[Fraction]] = []
     for k in range(1, order + 1):
         d = list(p_layers[k]) if k < len(p_layers) else []
         for j in range(1, k):
             if f[j] and g[k - j]:
                 d = _sub(d, _mul(f[j], g[k - j]))
-        residuals.append(d)
         fk: list[Fraction] = []
         gk: list[Fraction] = []
         if d:
@@ -307,55 +278,11 @@ def _lift_core(
                 raise ArithmeticError("lift correction failed to divide out")
         f.append(fk)
         g.append(gk)
-    return f, g, residuals
+    return f, g
 
 
 def _as_bipoly(layers: list[list[Fraction]]) -> BiPoly:
     return BiPoly([UniPoly(l) for l in layers], T_FORM)
-
-
-def _validate_seed(P: BiPoly, roots: Sequence[Fraction]) -> list[Fraction]:
-    if P.tag != T_FORM:
-        raise ValueError("lifting expects the curve in t-form")
-    values = [Fraction(r) for r in roots]
-    if len(set(values)) != len(values):
-        raise UnsupportedPencilError(
-            "repeated root at t=0; lifting requires pairwise-distinct "
-            "diagonal entries (use mechanisms and monodromy instead)"
-        )
-    seed = _root_product(values)
-    if list(P.layer(0).coeffs) != seed:
-        raise ValueError("roots do not match the curve at t=0")
-    return values
-
-
-def lift_subset(
-    P: BiPoly,
-    roots: Sequence[Fraction],
-    subset: SubsetSplit | Iterable[int],
-    target_order: int,
-) -> LiftState:
-    """Unique formal lift of the seed split indexed by ``subset``.
-
-    ``roots[i-1]`` is the lambda-root at t=0 carrying index i (for a
-    pencil, -a_i).  The subset picks which roots go to the F side.  No
-    degree caps apply here: all corrections up to ``target_order`` are
-    computed and kept, and the per-order residuals are recorded.
-    """
-    if target_order < 1:
-        raise ValueError("target_order must be >= 1")
-    values = _validate_seed(P, roots)
-    universe = tuple(range(1, len(values) + 1))
-    seed = _seed(P, dict(zip(universe, values)), subset, universe)
-    f, g, residuals = _lift_core(seed, target_order)
-    return LiftState(
-        subset=seed.subset,
-        F=_as_bipoly(f),
-        G=_as_bipoly(g),
-        bezout=(UniPoly(seed.U), UniPoly(seed.V)),
-        order=target_order,
-        residuals=tuple(UniPoly(d) for d in residuals),
-    )
 
 
 def obstruction_profile(
@@ -378,7 +305,7 @@ def obstruction_profile(
     P = continuant(p)
     universe = tuple(range(1, p.n + 1))
     seed = _seed(P, {i: -p.a[i - 1] for i in universe}, subset, universe)
-    f, g, _ = _lift_core(seed, seed.order)
+    f, g = _lift_core(seed, seed.order)
     profile = []
     for k in range(1, seed.order + 1):
         o: list[Fraction] = []
@@ -401,7 +328,7 @@ def _attempt_split(
     subset's split.  If the subset splits, both factors fit within the
     caps, so the truncated lift is exactly those factors."""
     seed = _seed(P, roots, subset, indices)
-    f, g, _ = _lift_core(seed, seed.cap_g)
+    f, g = _lift_core(seed, seed.cap_g)
     F, G = _as_bipoly(f[: seed.cap_f + 1]), _as_bipoly(g)
     return (F, G) if F * G == P else None
 
@@ -418,7 +345,7 @@ def _branch_series(
     series: dict[int, list[Fraction]] = {}
     for i in universe:
         seed = _seed(P, roots, (i,), universe)
-        f, g, _ = _lift_core(seed, seed.order)
+        f, g = _lift_core(seed, seed.order)
         side = f if seed.subset.indices == (i,) else g
         series[i] = [-c[0] if c else Fraction(0) for c in side[1:]]
     return series

@@ -58,7 +58,7 @@ from itertools import combinations, islice
 from .errors import ExactDivisionError, JacobiSpecError
 from .exactpoly import BiPoly, UniPoly, W_FORM, divide_exact_lambda
 from .exactpoly import _IntPoly, _add, _divexact, _divmod, _mul, _sub, _trim
-from .pencil import Block, JacobiPencil, continuant, curve_w, extract_block, tridiag_det
+from .pencil import Block, JacobiPencil, curve_w, extract_block, tridiag_det
 
 CUT = "cut"
 CONSTANT_BRANCH = "constant-branch"
@@ -132,40 +132,6 @@ class MechanismReport:
         return prod == self.curve and all(c.verified for c in self.certificates)
 
 
-def detect_cuts(p: JacobiPencil) -> list[int]:
-    """1-based coupling indices where b_i = 0."""
-    return [i for i, x in enumerate(p.b, start=1) if x == 0]
-
-
-def connected_components(p: JacobiPencil) -> list[tuple[int, int]]:
-    """Maximal intervals with no zero coupling inside, in order."""
-    out = []
-    start = 1
-    for i in detect_cuts(p):
-        out.append((start, i))
-        start = i + 1
-    out.append((start, p.n))
-    return out
-
-
-def detect_constant_branches(block: Block) -> list[int]:
-    """Diagonal positions j (1-based, absolute) whose value v makes
-    lambda + v divide the block curve identically in t."""
-    curve = continuant(block.as_pencil())
-    hits: list[int] = []
-    seen: set[Fraction] = set()
-    values = block.diagonal()
-    for j, v in enumerate(values, start=block.r):
-        if v in seen:
-            continue
-        seen.add(v)
-        if curve.eval_lambda(-v).is_zero:
-            hits.extend(
-                idx for idx, u in enumerate(values, start=block.r) if u == v
-            )
-    return sorted(hits)
-
-
 def _palindromic_couplings(block: Block) -> list[Fraction] | None:
     """Sign-normalized couplings d with d_k = d_{m-2-k}, or None if the
     block has no reflection symmetry.
@@ -230,20 +196,6 @@ def detect_palindrome(block: Block) -> Certificate | None:
     if not cert.verified:
         raise JacobiSpecError("palindrome split failed verification")
     return cert
-
-
-def detect_scalar_blocks(p: JacobiPencil) -> list[tuple[int, int]]:
-    """Maximal intervals of length >= 2 with constant diagonal."""
-    out = []
-    r = 1
-    for i in range(2, p.n + 1):
-        if p.a[i - 1] != p.a[r - 1]:
-            if i - r >= 2:
-                out.append((r, i - 1))
-            r = i
-    if p.n - r + 1 >= 2:
-        out.append((r, p.n))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +492,15 @@ def scalar_block_certificate(block: Block) -> Certificate:
     factors = tuple(
         _homogenize(f, shift) for f, mult in parts for _ in range(mult)
     )
+    # Yun's decomposition of q: for each multiplicity, ascending, the
+    # product of the monic factors that carry it
+    squarefree = []
+    for mult in sorted({mult for _, mult in parts}):
+        part = UniPoly.one()
+        for f, m in parts:
+            if m == mult:
+                part = part * f
+        squarefree.append((part, mult))
     cert = Certificate(
         kind=SCALAR_BLOCK,
         block=(block.r, block.s),
@@ -549,7 +510,7 @@ def scalar_block_certificate(block: Block) -> Certificate:
             "value": shift,
             "coupling_charpoly": q,
             "rational_factors": parts,
-            "squarefree": q.squarefree_decomposition(),
+            "squarefree": squarefree,
             "line_degrees": (1,) * block.m,
         },
     )

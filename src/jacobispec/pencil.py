@@ -88,13 +88,6 @@ class JacobiPencil:
     def distinct_diagonal(self) -> bool:
         return len(set(self.a)) == self.n
 
-    def diagonal_value_indices(self) -> dict[Fraction, list[int]]:
-        """Map each diagonal value to its 1-based positions."""
-        out: dict[Fraction, list[int]] = {}
-        for i, x in enumerate(self.a, start=1):
-            out.setdefault(x, []).append(i)
-        return out
-
     def __str__(self) -> str:
         a = ", ".join(str(x) for x in self.a)
         b = ", ".join(str(x) for x in self.b)

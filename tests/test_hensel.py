@@ -21,11 +21,13 @@ from jacobispec.experiments import (
 )
 from jacobispec.hensel import (
     SubsetSplit,
+    _as_bipoly,
     _attempt_split,
     _branch_series,
+    _lift_core,
+    _seed,
     canonical_subsets,
     decide,
-    lift_subset,
     obstruction_profile,
 )
 from jacobispec.mechanisms import apply_all
@@ -83,48 +85,38 @@ def test_canonical_subsets_cover_all_bipartitions():
 # ---------------------------------------------------------------- lifting
 
 
+def _lift(p, subset, order):
+    """Seed of ``subset`` for the curve of ``p`` and its lift to ``order``,
+    the sides as t-form polynomials."""
+    P = curve_t(p)
+    universe = tuple(range(1, p.n + 1))
+    seed = _seed(P, {i: -p.a[i - 1] for i in universe}, subset, universe)
+    f, g = _lift_core(seed, order)
+    return P, seed, _as_bipoly(f), _as_bipoly(g)
+
+
 def test_lift_series_frozen():
     # P = (lambda)(lambda+1) - t split as {1}|{2}: the unique series factors
-    P = curve_t(pencil([0, 1], [1]))
-    state = lift_subset(P, [Fraction(0), Fraction(-1)], (1,), 4)
-    assert state.F.to_lists() == [["0", "1"], ["-1"], ["1"], ["-2"], ["5"]]
-    assert state.G.to_lists() == [["1", "1"], ["1"], ["-1"], ["2"], ["-5"]]
-    assert [r.to_strings() for r in state.residuals] == [
-        ["-1"],
-        ["1"],
-        ["-2"],
-        ["5"],
-    ]
-    u, v = state.bezout
-    assert u.to_strings() == ["-1"] and v.to_strings() == ["1"]
-    assert state.order == 4
+    _, seed, F, G = _lift(pencil([0, 1], [1]), (1,), 4)
+    assert F.to_lists() == [["0", "1"], ["-1"], ["1"], ["-2"], ["5"]]
+    assert G.to_lists() == [["1", "1"], ["1"], ["-1"], ["2"], ["-5"]]
+    assert UniPoly(seed.V).to_strings() == ["1"]
 
 
 def test_lift_product_congruence():
     # F*G == P modulo t^(order+1), exactly, at several orders
-    p = pencil([0, 1, 3], [1, 2])
-    P = curve_t(p)
-    roots = [Fraction(0), Fraction(-1), Fraction(-3)]
     for order in (1, 2, 5):
-        state = lift_subset(P, roots, (2,), order)
-        fg = state.F * state.G
+        P, _, F, G = _lift(pencil([0, 1, 3], [1, 2]), (2,), order)
+        fg = F * G
         for k in range(order + 1):
             assert fg.layer(k) == P.layer(k)
 
 
 def test_lift_bezout_identity():
-    P = curve_t(pencil([0, 2, 5], [1, 1]))
-    state = lift_subset(P, [Fraction(0), Fraction(-2), Fraction(-5)], (1, 3), 3)
-    u, v = state.bezout
-    f0 = state.F.layer(0)
-    g0 = state.G.layer(0)
-    assert u * f0 + v * g0 == type(u)([1])
-
-
-def test_lift_rejects_wrong_roots():
-    P = curve_t(pencil([0, 1], [1]))
-    with pytest.raises(ValueError):
-        lift_subset(P, [Fraction(5), Fraction(7)], (1,), 2)
+    # V*G0 == 1 modulo F0, with F0 = lambda(lambda+5) and G0 = lambda+2
+    _, seed, F, G = _lift(pencil([0, 2, 5], [1, 1]), (1, 3), 3)
+    assert (UniPoly(seed.F0), UniPoly(seed.G0)) == (F.layer(0), G.layer(0))
+    assert UniPoly(seed.V) * G.layer(0) % F.layer(0) == UniPoly.one()
 
 
 # ------------------------------------------------------------ obstruction

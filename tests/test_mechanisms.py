@@ -13,12 +13,8 @@ from jacobispec.exactpoly import BiPoly, UniPoly
 from jacobispec.mechanisms import (
     Certificate,
     apply_all,
-    connected_components,
     coupling_charpoly,
-    detect_constant_branches,
-    detect_cuts,
     detect_palindrome,
-    detect_scalar_blocks,
     scalar_block_certificate,
 )
 from jacobispec.pencil import Block, curve_w, pencil
@@ -38,17 +34,6 @@ def test_cut_certificate():
         [["0", "1", "1"], [], ["-1"]],
         [["2", "1"]],
     ]
-
-
-def test_connected_components():
-    assert connected_components(pencil([0, 1, 2, 3], [1, 0, 2])) == [(1, 2), (3, 4)]
-    assert connected_components(pencil([0, 1], [1])) == [(1, 2)]
-    assert connected_components(pencil([0, 1, 2], [0, 0])) == [(1, 1), (2, 2), (3, 3)]
-
-
-def test_detect_cuts():
-    assert detect_cuts(pencil([0, 1, 2, 3], [1, 0, 0])) == [2, 3]
-    assert detect_cuts(pencil([0, 1], [1])) == []
 
 
 def test_constant_branch_certificate():
@@ -78,12 +63,12 @@ def divmod_like(curve, linear):
 
 def test_detect_constant_branches():
     # no diagonal value gives an identically-vanishing branch here
-    p = pencil([0, 1, 5], [1, 1])
-    assert detect_constant_branches(Block(p, 1, 3)) == []
+    assert apply_all(pencil([0, 1, 5], [1, 1])).certificates == []
     # distinct diagonal can still carry one when the couplings balance:
     # (lambda+1) divides lambda(lambda+1)(lambda+2) - 2t(lambda+1)
-    q = pencil([0, 1, 2], [1, 1])
-    assert detect_constant_branches(Block(q, 1, 3)) == [2]
+    (cert,) = apply_all(pencil([0, 1, 2], [1, 1])).certificates
+    assert cert.kind == "constant-branch"
+    assert cert.data == {"value": Fraction(1), "indices": (2,)}
 
 
 def test_odd_palindrome():
@@ -156,8 +141,6 @@ def test_scalar_shape_inert_inside_larger_component():
     assert report.certificates == []
     assert not report.reducible
     assert report.leaf_degrees == [3]
-    # the shape detector still sees the candidate interval
-    assert detect_scalar_blocks(p) == [(1, 2)]
 
 
 def test_product_check():
@@ -327,6 +310,23 @@ def test_scalar_block_with_zero_coupling_equals_sympy_factor_list():
             repeated += any(m > 1 for _, m in parts)
             with_x += any(f == UniPoly.variable() for f, _ in parts)
     assert repeated and with_x
+
+
+def test_scalar_block_squarefree_equals_yun():
+    # data["squarefree"] is read off the rational factor list; Yun's
+    # decomposition of the coupling polynomial is the reference, on blocks
+    # with zero couplings (repeated factors) and on seeded nonzero ones
+    rng = random.Random(11)
+    repeated = 0
+    for n in range(2, 11):
+        for zeros in (True, True, False):
+            choices = (0, 1, -2, 3) if zeros else (1, -2, 3, Fraction(5, 7))
+            b = [rng.choice(choices) for _ in range(n - 1)]
+            cert = scalar_block_certificate(Block(pencil([-1] * n, b), 1, n))
+            q = cert.data["coupling_charpoly"]
+            assert cert.data["squarefree"] == q.squarefree_decomposition(), b
+            repeated += len(cert.data["squarefree"]) > 1
+    assert repeated
 
 
 def test_recombination_modulus_exceeds_twice_the_mignotte_bound(monkeypatch):

@@ -45,13 +45,6 @@ def test_pencil_predicates():
     assert q.connected and q.distinct_diagonal
 
 
-def test_diagonal_value_indices():
-    p = pencil([0, 1, 0], [1, 1])
-    groups = p.diagonal_value_indices()
-    assert groups[Fraction(0)] == [1, 3]
-    assert groups[Fraction(1)] == [2]
-
-
 def test_continuant_matches_oracle_frozen():
     for a, b in [
         ([0, 1], [1]),
