@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from fractions import Fraction
 
 from .errors import UnsupportedPencilError
 from .exactpoly import BiPoly, UniPoly

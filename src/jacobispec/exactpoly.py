@@ -7,7 +7,9 @@ are worth stating once:
 * Scalars are ``fractions.Fraction``.  No floats enter this module.
   The private coefficient-list kernel below the parsers is the one
   implementation of list arithmetic in the package; it also runs on
-  ``int`` lists, for the fraction-free resultant.
+  ``int`` lists, for the fraction-free resultant, and holds the package's
+  arithmetic modulo a prime (remainders, gcds, inverses, null spaces) that
+  the factorizer in ``mechanisms`` runs on.
 * ``UniPoly`` is a dense univariate polynomial, coefficients ascending.
   The zero polynomial has an empty coefficient tuple and degree -1.
 * ``BiPoly`` is a polynomial in ``lambda`` and one outer variable, stored
@@ -178,6 +180,102 @@ def _divexact(u: Sequence, v: Sequence) -> list:
     if any(rem):
         raise ExactDivisionError("nonzero remainder in exact division")
     return _trim(quot)
+
+
+# The same kernel modulo m, on int lists.  Residues are kept in [0, m); a
+# division needs the leading coefficient of the divisor to be a unit.
+
+_IntPoly = list[int]
+
+
+def _reduce(u: _IntPoly, m: int) -> _IntPoly:
+    return _trim([c % m for c in u])
+
+
+def _product(factors: list[_IntPoly], m: int) -> _IntPoly:
+    out = [1]
+    for f in factors:
+        out = _reduce(_mul(out, f), m)
+    return out
+
+
+def _divmod_mod(u: _IntPoly, v: _IntPoly, m: int) -> tuple[_IntPoly, _IntPoly]:
+    """Quotient and remainder of u by v modulo m; lc(v) must be a unit."""
+    inv = pow(v[-1], -1, m)
+    quot, rem = _divmod(u, [c * inv % m for c in v])
+    return _reduce([c * inv for c in quot], m), _reduce(rem, m)
+
+
+def _gcd_mod(u: _IntPoly, v: _IntPoly, p: int) -> _IntPoly:
+    """Monic gcd modulo the prime p."""
+    while v:
+        u, v = v, _divmod_mod(u, v, p)[1]
+    return _divmod_mod(u, u[-1:], p)[0]
+
+
+def _inverse_mod(u: _IntPoly, v: _IntPoly, p: int) -> _IntPoly:
+    """s with s*u = 1 modulo v and the prime p, for u coprime to v."""
+    r0, r1, s0, s1 = u, v, [1], []
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _reduce(_sub(s0, _mul(q, s1)), p)
+    return _divmod_mod(s0, r0, p)[0]
+
+
+def _nullspace_mod(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {x : rows * x = 0} modulo the prime p for a nonempty matrix,
+    by Gauss-Jordan elimination: one vector per free column, in column
+    order, with 1 at its own free column and 0 at the others."""
+    mat = [[c % p for c in row] for row in rows]
+    width = len(mat[0])
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        inv = pow(mat[piv][col], -1, p)
+        mat[piv], mat[r] = mat[r], [c * inv % p for c in mat[piv]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        a = [0] * width
+        a[free] = 1
+        for i, col in enumerate(pivots):
+            a[col] = -mat[i][free] % p
+        basis.append(a)
+    return basis
+
+
+def _odd_primes():
+    p = 1
+    while True:
+        p += 2
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+
+
+def _residue(f: _IntPoly, p: int) -> _IntPoly | None:
+    """f made monic modulo the prime p, or None when p divides lc(f) or f
+    is not squarefree modulo p."""
+    if f[-1] % p == 0:
+        return None
+    fp = _divmod_mod(f, f[-1:], p)[0]
+    derivative = _reduce([k * c for k, c in enumerate(fp)][1:], p)
+    return fp if _gcd_mod(fp, derivative, p) == [1] else None
+
+
+def _primitive(u) -> _IntPoly:
+    """The primitive integer multiple of u (int or Fraction coefficients)
+    with positive leading coefficient."""
+    den = math.lcm(*(c.denominator for c in u))
+    ints = [int(c * den) for c in u]
+    g = math.gcd(*ints)
+    return [c // (g if ints[-1] > 0 else -g) for c in ints]
 
 
 def _power(base, n: int, one):
@@ -366,12 +464,6 @@ class UniPoly:
             c = c.exact_div(a)
             d = d.exact_div(a) - c.derivative()
             i += 1
-        return out
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            out = out * c.denominator // math.gcd(out, c.denominator)
         return out
 
     def to_strings(self) -> list[str]:
@@ -621,102 +713,11 @@ def divide_exact_lambda(p: BiPoly, d: BiPoly) -> BiPoly:
     return BiPoly.from_lambda_major(quot, p.tag)
 
 
-_IntPoly = list[int]
-
-
 def _integer_cols(cols: Sequence[UniPoly]) -> tuple[list[_IntPoly], int]:
     """The columns times the lcm of all their denominators, as int lists,
     and that lcm."""
-    den = 1
-    for c in cols:
-        d = c.denominator_lcm()
-        den = den * d // math.gcd(den, d)
+    den = math.lcm(*(x.denominator for c in cols for x in c.coeffs))
     return [[int(x * den) for x in c.coeffs] for c in cols], den
-
-
-# ---------------------------------------------------------------------------
-# gcd in lambda over Q(outer), primitive pseudo-remainder sequence
-
-
-def _content(cols: Sequence[UniPoly]) -> UniPoly:
-    g = UniPoly.zero()
-    for c in cols:
-        g = g.gcd(c)
-        if g.degree == 0:
-            break
-    return g
-
-
-def _primitive(cols: list[UniPoly]) -> list[UniPoly]:
-    cols = _trim(list(cols))
-    if not cols:
-        return cols
-    g = _content(cols)
-    return [c.exact_div(g) for c in cols]
-
-
-def _pseudo_rem(f: list[UniPoly], g: list[UniPoly]) -> list[UniPoly]:
-    # Remainder of f by g in lambda, scaled by powers of lc(g) so no
-    # coefficient division happens.  The scaling is harmless because the
-    # caller immediately takes the primitive part.
-    lead = g[-1]
-    rem = list(f)
-    while len(rem) >= len(g):
-        top = rem[-1]
-        shift = len(rem) - len(g)
-        new = [lead * c for c in rem[:-1]]
-        for j in range(len(g) - 1):
-            new[shift + j] = new[shift + j] - top * g[j]
-        rem = _trim(new)
-    return rem
-
-
-def _canonical_cols(cols: list[UniPoly], tag: str) -> BiPoly:
-    # Integer-primitive normalization: clear denominators, divide by the
-    # integer content, make the top coefficient positive.
-    ints, _ = _integer_cols(cols)
-    num_gcd = 0
-    for row in ints:
-        for v in row:
-            num_gcd = math.gcd(num_gcd, v)
-    if num_gcd == 0:
-        return BiPoly.zero(tag)
-    lead_sign = 1
-    top = ints[-1]
-    for v in reversed(top):
-        if v:
-            lead_sign = 1 if v > 0 else -1
-            break
-    scale = num_gcd * lead_sign
-    normalized = [UniPoly(tuple(Fraction(v, scale) for v in row)) for row in ints]
-    return BiPoly.from_lambda_major(normalized, tag)
-
-
-def gcd_in_lambda(p: BiPoly, q: BiPoly) -> BiPoly:
-    """Gcd of p and q as polynomials in lambda over the rational function
-    field in the outer variable, computed by a primitive pseudo-remainder
-    sequence so all intermediate arithmetic stays polynomial.
-
-    The result is normalized to be integer-primitive with positive top
-    coefficient; coprime inputs give the constant 1.
-    """
-    p._require_same_tag(q)
-    if p.is_zero and q.is_zero:
-        raise ValueError("gcd of two zero polynomials")
-    if p.is_zero:
-        return _canonical_cols(q.lambda_major(), q.tag)
-    if q.is_zero:
-        return _canonical_cols(p.lambda_major(), p.tag)
-    a = _primitive(p.lambda_major())
-    b = _primitive(q.lambda_major())
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive(r)
-    if len(a) == 1:
-        return BiPoly.one(p.tag)
-    return _canonical_cols(a, p.tag)
 
 
 # ---------------------------------------------------------------------------

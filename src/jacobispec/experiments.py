@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import JacobiSpecError
-from .exactpoly import format_rational, gcd_in_lambda
+from .exactpoly import format_rational
 from .hensel import IRREDUCIBLE, decide
 from .mechanisms import apply_all
 from .monodromy import monodromy_group, orbit_factor_degrees
@@ -341,7 +341,11 @@ def run_coprime_sweep(
     parameter_range: int = DEFAULT_RANGE,
 ) -> CampaignReport:
     """Consecutive leading principal curves of a connected chain are
-    coprime; this sweep checks the gcd exactly for n = 2 .. n_max."""
+    coprime; this sweep proves it exactly for n = 2 .. n_max.  P_n and
+    P_{n-1} are monic in lambda, so gcd(P_n(., t0), P_{n-1}(., t0)) = 1
+    over Q means Res_lambda(P_n, P_{n-1})(t0) != 0.  That resultant has
+    degree at most n(n-1)/2 in t, so a common-factor witness, which lists
+    its t0, failed at every t0 = 1 .. n(n-1)/2 + 1."""
     if n_max < 2:
         raise ValueError("sweep needs n_max >= 2")
     c = Campaign("coprime-sweep", n_max, "generic", parameter_range, samples, seed)
@@ -355,8 +359,12 @@ def run_coprime_sweep(
             rng = sample_rng(c, index)
             p = sample_connected(rng, n, parameter_range)
             sub = pencil(p.a[: n - 1], p.b[: n - 2])
-            g = gcd_in_lambda(continuant(p), continuant(sub))
-            coprime = g.deg_lambda == 0 and g.deg_outer == 0
+            curve, truncation = continuant(p), continuant(sub)
+            points = range(1, n * (n - 1) // 2 + 2)
+            coprime = any(
+                curve.eval_outer(t0).gcd(truncation.eval_outer(t0)).degree == 0
+                for t0 in points
+            )
             row = {
                 "index": index,
                 "n": n,
@@ -372,7 +380,7 @@ def run_coprime_sweep(
                         "index": index,
                         **_pencil_record(p),
                         "outcome": "common-factor",
-                        "gcd": g.to_lists(),
+                        "t0": list(points),
                     }
                 )
                 report.bump("common-factor")

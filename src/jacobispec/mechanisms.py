@@ -57,7 +57,9 @@ from itertools import combinations, islice
 
 from .errors import ExactDivisionError, JacobiSpecError
 from .exactpoly import BiPoly, UniPoly, W_FORM, divide_exact_lambda
-from .exactpoly import _IntPoly, _add, _divexact, _divmod, _mul, _sub, _trim
+from .exactpoly import _IntPoly, _add, _divexact, _divmod, _divmod_mod, _gcd_mod
+from .exactpoly import _inverse_mod, _mul, _nullspace_mod, _odd_primes, _primitive
+from .exactpoly import _product, _reduce, _residue, _sub, _trim
 from .pencil import Block, JacobiPencil, curve_w, extract_block, tridiag_det
 
 CUT = "cut"
@@ -172,7 +174,6 @@ def detect_palindrome(block: Block) -> Certificate | None:
     a = block.diagonal()
     m = block.m
     h = m // 2
-    w = BiPoly.outer(W_FORM)
     lin = [BiPoly.linear_lambda(x, W_FORM) for x in a[: h + 1]]
     sq = [BiPoly.constant(d[k] * d[k], W_FORM).mul_outer_power(2) for k in range(h)]
     if m % 2 == 0:
@@ -199,9 +200,10 @@ def detect_palindrome(block: Block) -> Certificate | None:
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q by Zassenhaus's algorithm, on int coefficient lists
-# (ascending, as in the kernel of exactpoly).  Residues modulo m are kept in
-# [0, m).
+# factorization over Q by Zassenhaus's algorithm, on int coefficient lists.
+# The arithmetic modulo a prime or a prime power (remainders, gcds,
+# inverses, the null space, squarefree residues) is the kernel's, in
+# exactpoly; this section drives it.
 
 # Primes tried for the modular step; the one giving the fewest factors wins.
 _PRIMES_TRIED = 5
@@ -209,40 +211,6 @@ _PRIMES_TRIED = 5
 # squarefree, which proves it squarefree over Q without the squarefree
 # decomposition.
 _SQUAREFREE_PRIMES = 10
-
-
-def _reduce(u: _IntPoly, m: int) -> _IntPoly:
-    return _trim([c % m for c in u])
-
-
-def _product(factors: list[_IntPoly], m: int) -> _IntPoly:
-    out = [1]
-    for f in factors:
-        out = _reduce(_mul(out, f), m)
-    return out
-
-
-def _divmod_mod(u: _IntPoly, v: _IntPoly, m: int) -> tuple[_IntPoly, _IntPoly]:
-    """Quotient and remainder of u by v modulo m; lc(v) must be a unit."""
-    inv = pow(v[-1], -1, m)
-    quot, rem = _divmod(u, [c * inv % m for c in v])
-    return _reduce([c * inv for c in quot], m), _reduce(rem, m)
-
-
-def _gcd_mod(u: _IntPoly, v: _IntPoly, p: int) -> _IntPoly:
-    """Monic gcd modulo the prime p."""
-    while v:
-        u, v = v, _divmod_mod(u, v, p)[1]
-    return _divmod_mod(u, u[-1:], p)[0]
-
-
-def _inverse_mod(u: _IntPoly, v: _IntPoly, p: int) -> _IntPoly:
-    """s with s*u = 1 modulo v and the prime p, for u coprime to v."""
-    r0, r1, s0, s1 = u, v, [1], []
-    while r1:
-        q, r = _divmod_mod(r0, r1, p)
-        r0, r1, s0, s1 = r1, r, s1, _reduce(_sub(s0, _mul(q, s1)), p)
-    return _divmod_mod(s0, r0, p)[0]
 
 
 def _berlekamp_basis(f: _IntPoly, p: int) -> list[_IntPoly]:
@@ -259,28 +227,7 @@ def _berlekamp_basis(f: _IntPoly, p: int) -> list[_IntPoly]:
         for _ in range(p):  # times x; the entries grow by less than p^2
             top = xk[-1] % p
             xk = [-top * f[0]] + [c - top * d for c, d in zip(xk, f[1:n])]
-    # its null space, by Gauss-Jordan elimination
-    pivots: list[int] = []
-    for col in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, n) if mat[i][col]), None)
-        if piv is None:
-            continue
-        inv = pow(mat[piv][col], -1, p)
-        mat[piv], mat[r] = mat[r], [c * inv % p for c in mat[piv]]
-        for i in range(n):
-            if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-    basis = []
-    for free in (c for c in range(n) if c not in pivots):
-        a = [0] * n
-        a[free] = 1
-        for i, col in enumerate(pivots):
-            a[col] = -mat[i][free] % p
-        basis.append(_trim(a))
-    return basis
+    return [_trim(a) for a in _nullspace_mod(mat, p)]
 
 
 def _berlekamp_split(f: _IntPoly, basis: list[_IntPoly], p: int) -> list[_IntPoly]:
@@ -298,24 +245,6 @@ def _berlekamp_split(f: _IntPoly, basis: list[_IntPoly], p: int) -> list[_IntPol
                 if len(factors) == len(basis):
                     return factors
     return factors
-
-
-def _odd_primes():
-    p = 1
-    while True:
-        p += 2
-        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
-            yield p
-
-
-def _residue(f: _IntPoly, p: int) -> _IntPoly | None:
-    """f made monic modulo the prime p, or None when p divides lc(f) or f
-    is not squarefree modulo p."""
-    if f[-1] % p == 0:
-        return None
-    fp = _divmod_mod(f, f[-1:], p)[0]
-    derivative = _reduce([k * c for k, c in enumerate(fp)][1:], p)
-    return fp if _gcd_mod(fp, derivative, p) == [1] else None
 
 
 def _modular_factors(f: _IntPoly) -> tuple[int, list[_IntPoly]]:
@@ -367,15 +296,6 @@ def _hensel_lift(f: _IntPoly, mods: list[_IntPoly], p: int, pk: int) -> list[_In
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
         m *= m
     return _hensel_lift(g, mods[:half], p, pk) + _hensel_lift(h, mods[half:], p, pk)
-
-
-def _primitive(u) -> _IntPoly:
-    """The primitive integer multiple of u (int or Fraction coefficients)
-    with positive leading coefficient."""
-    den = math.lcm(*(c.denominator for c in u))
-    ints = [int(c * den) for c in u]
-    g = math.gcd(*ints)
-    return [c // (g if ints[-1] > 0 else -g) for c in ints]
 
 
 def _recombine(f: _IntPoly, lifted: list[_IntPoly], pk: int) -> list[_IntPoly]:

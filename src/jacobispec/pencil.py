@@ -40,7 +40,10 @@ from .exactpoly import (
 __all__ = [
     "JacobiPencil",
     "Block",
+    "pencil",
     "continuant",
+    "curve_t",
+    "curve_w",
     "tridiag_det",
     "charpoly_oracle",
     "symbolic_det",

@@ -1,4 +1,4 @@
-"""Exact polynomial layer: parsing, arithmetic, gcd, resultants."""
+"""Exact polynomial layer: parsing, arithmetic, resultants, the mod-p kernel."""
 
 import random
 from fractions import Fraction
@@ -16,11 +16,11 @@ from jacobispec.exactpoly import (
     _divexact,
     _divmod,
     _mul,
+    _nullspace_mod,
     _sub,
     discriminant_in_lambda,
     divide_exact_lambda,
     format_rational,
-    gcd_in_lambda,
     parse_rational,
     resultant_in_lambda,
     to_t_form,
@@ -214,23 +214,6 @@ def test_divide_exact_lambda_property(fa, ga):
     assert divide_exact_lambda(f * g, f) == g
 
 
-def test_gcd_in_lambda_finds_common_factor():
-    lam = BiPoly.lam("w")
-    w = BiPoly.outer("w")
-    h = lam - w
-    f = h * (lam + BiPoly.constant(1, "w"))
-    g = h * (lam + w)
-    gcd = gcd_in_lambda(f, g)
-    assert gcd.deg_lambda == 1
-    assert divide_exact_lambda(f, gcd) is not None
-
-
-def test_gcd_in_lambda_coprime():
-    lam = BiPoly.lam("w")
-    g = gcd_in_lambda(lam + BiPoly.constant(1, "w"), lam + BiPoly.constant(2, "w"))
-    assert g.deg_lambda == 0
-
-
 def test_resultant_linear_case():
     lam = BiPoly.lam("w")
     w = BiPoly.outer("w")
@@ -248,6 +231,28 @@ def test_resultant_detects_common_root():
     assert resultant_in_lambda(f, g).is_zero
 
 
+def test_resultant_of_consecutive_curves_closed_form():
+    # P_n = (lambda + a_n) P_{n-1} - t b_{n-1}^2 P_{n-2} gives
+    # Res(P_n, P_{n-1}) = +-(t b_{n-1}^2)^(n-1) Res(P_{n-1}, P_{n-2}), so the
+    # resultant is +-prod_j (t b_j^2)^j, a monomial of degree n(n-1)/2 in t
+    rng = random.Random(31)
+    for n in range(2, 8):
+        for den in (1, 5) * 5:
+            a = [Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(n)]
+            b = [
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, den))
+                for _ in range(n - 1)
+            ]
+            truncation = pencil(a[:-1], b[:-1])
+            res = resultant_in_lambda(continuant(pencil(a, b)), continuant(truncation))
+            monomial = t_power = UniPoly.one()
+            for j, x in enumerate(b, start=1):
+                monomial = monomial * (x * x) ** j
+                t_power = t_power * UniPoly.variable() ** j
+            expected = monomial * t_power
+            assert res in (expected, -expected), (a, b)
+
+
 def test_discriminant_quadratic():
     lam = BiPoly.lam("w")
     w = BiPoly.outer("w")
@@ -263,6 +268,41 @@ def test_discriminant_requires_monic_quadratic_or_more():
     w = BiPoly.outer("w")
     with pytest.raises(ValueError):
         discriminant_in_lambda(w * lam * lam)
+
+
+def test_nullspace_mod_against_sympy_rank():
+    # rank-deficient matrices as products of seeded (rows x k)(k x cols)
+    # factors, with k up to the full width
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(13)
+    for p in (3, 5, 7):
+        for _ in range(20):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            k = rng.randint(0, cols)
+            left = [[rng.randint(-20, 20) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(k)]
+            mat = [
+                [sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                if k
+                else [0] * cols
+                for row in left
+            ]
+            basis = _nullspace_mod(mat, p)
+            for x in basis:
+                assert len(x) == cols and all(0 <= c < p for c in x)
+                assert all(sum(m * c for m, c in zip(row, x)) % p == 0 for row in mat)
+            field = GF(p)
+            rank = DomainMatrix(
+                [[field(c) for c in row] for row in mat], (rows, cols), field
+            ).rank()
+            assert len(basis) == cols - rank, (mat, p)
+            # the basis is independent: 1 at its own free column, its last
+            # nonzero entry, and 0 at the other free columns
+            free = [max(i for i, c in enumerate(x) if c) for x in basis]
+            for x, i in zip(basis, free):
+                assert [x[j] for j in free] == [int(j == i) for j in free]
 
 
 def test_unipoly_render():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacobispec import experiments
 from jacobispec.experiments import (
     Campaign,
     classify,
@@ -139,6 +140,23 @@ def test_coprime_sweep():
     for n in range(2, 6):
         assert f"coprime-n{n}" in r.counts
         assert r.counts[f"coprime-n{n}"] == 15
+
+
+def test_coprime_sweep_reports_a_cut_after_every_t0(monkeypatch):
+    # b_{n-1} = 0 makes P_n = (lambda + a_n) P_{n-1}: the resultant vanishes
+    # identically, so no t0 up to the degree bound n(n-1)/2 proves coprimality
+    def cut(rng, n, bound):
+        return pencil(list(range(1, n + 1)), [1] * (n - 2) + [0])
+
+    monkeypatch.setattr(experiments, "sample_connected", cut)
+    r = run_coprime_sweep(5, 2, seed=0)
+    assert r.counts["common-factor"] == 8
+    assert all(r.counts[f"coprime-n{n}"] == 0 for n in range(2, 6))
+    for witness in r.witnesses:
+        n = len(witness["a"])
+        assert witness["outcome"] == "common-factor"
+        assert witness["t0"] == list(range(1, n * (n - 1) // 2 + 2))
+    assert (r.witnesses[2]["a"], r.witnesses[2]["b"]) == (["1", "2", "3"], ["1", "0"])
 
 
 def test_codim_probe_d3():
